@@ -8,8 +8,8 @@ the pairwise-sum criterion.
 
 from . import errors
 from .bounds import (BoundReport, castelnuovo_c, compositum_bound,
-                     coprime_lower_bound, divisor_condition, jenkins_bound,
-                     rho, rho1, rho2, rho3, rho4, rho4_u, rho5,
+                     coprime_lower_bound, divisor_condition, evaluate,
+                     jenkins_bound, rho1, rho2, rho3, rho4, rho4_u, rho5,
                      total_ramification_threshold)
 from .classify import (GammaFit, SymmetryProfile, TypeVerdict,
                        arithmetic_cover_criterion, exclusive_types, is_prime,
@@ -17,10 +17,9 @@ from .classify import (GammaFit, SymmetryProfile, TypeVerdict,
                        natural_gamma_fit, project_by_n, symmetry_profile,
                        tail_structure, type_verdict)
 from .core import (DEFAULT_GENUS_CAP, AperyProfile, NumericalSemigroup,
-                   apery_profile, descendants, enumerate_by_genus,
-                   enumerate_genus_range, format_semigroup, from_gaps,
-                   from_generators, natural_gamma, parse_semigroup,
-                   tree_children)
+                   apery_profile, descendants, enumerate_genus_range,
+                   format_semigroup, from_gaps, from_generators,
+                   natural_gamma, parse_semigroup, tree_children)
 from .families import (Claim, FamilyResult, buchweitz_family, cover_family,
                        superelliptic_extremal, superelliptic_sharp,
                        superelliptic_spurious)

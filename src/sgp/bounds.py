@@ -45,19 +45,6 @@ def rho5(n: int, gamma: int) -> int:
     return 2 * n * gamma + (n - 1) * (n - 1)
 
 
-_RHO_TABLE = {1: (rho1, 3), 2: (rho2, 2), 3: (rho3, 2), 4: (rho4, 4), 5: (rho5, 2)}
-
-
-def rho(k: int, args: list[int] | tuple[int, ...]) -> int:
-    """Dispatch rho_k on its integer argument list."""
-    if k not in _RHO_TABLE:
-        raise ValueError(f"rho index must be 1..5, got {k}")
-    fn, arity = _RHO_TABLE[k]
-    if len(args) != arity:
-        raise ValueError(f"rho{k} takes {arity} arguments, got {len(args)}")
-    return fn(*args)
-
-
 def castelnuovo_c(d: int, r: int) -> int:
     """Castelnuovo's genus bound c(d, r) for a nondegenerate degree-d curve
     in r-dimensional projective space."""

@@ -19,8 +19,7 @@ from . import bounds as bounds_mod
 from . import families as families_mod
 from .classify import project_by_n, type_verdict
 from .core import (DEFAULT_GENUS_CAP, NumericalSemigroup, descendants,
-                   enumerate_genus_range, format_semigroup, natural_gamma,
-                   parse_semigroup)
+                   format_semigroup, natural_gamma, parse_semigroup)
 from .errors import CapExceeded, SemigroupError, UnknownPredicate, WrongShape
 from .obstruction import (NOT_WEIERSTRASS, gap_sum_profile, pair_sum_extras,
                           pairing_obstruction)
@@ -173,10 +172,7 @@ def _cmd_bounds(args) -> dict[str, Any]:
             int_args = [int(a) for a in args.args]
         except ValueError:
             raise _UsageError("bound arguments must be integers")
-        try:
-            report = bounds_mod.evaluate(name, int_args)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+        report = bounds_mod.evaluate(name, int_args)
     return {"name": report.name, "arguments": list(report.arguments),
             "value": report.value, "hypothesis_met": report.hypothesis_met}
 
@@ -319,29 +315,24 @@ def _cmd_scan(args, mode: str) -> int:
     cap = _genus_cap()
     if hi > cap:
         raise CapExceeded(f"genus {hi} exceeds cap {cap} (set SGP_GENUS_CAP to raise)")
+    if args.parallelism < 1:
+        raise _UsageError(f"--parallelism must be at least 1, got {args.parallelism}")
     _predicate_fn(args.predicate, args.n)  # fail fast on bad predicate
-    workers = max(1, args.parallelism)
-    scanned = 0
-    rows: list[tuple[int, tuple[int, ...]]] = []
+    # one walk to the shard depth builds every shard: a node of smaller
+    # genus is a one-node shard, a node at the depth carries its subtree
     shard_depth = min(hi, 5)
-    if workers == 1 or shard_depth < 1:
-        scanned, rows = _scan_worker(((), lo, hi, args.predicate, args.n))
+    payloads = [(H.gaps, lo, hi if H.genus == shard_depth else H.genus,
+                 args.predicate, args.n)
+                for H in descendants(NumericalSemigroup(), shard_depth)
+                if H.genus == shard_depth or H.genus >= lo]
+    workers = min(args.parallelism, os.cpu_count() or 1, len(payloads))
+    if workers == 1:
+        parts = list(map(_scan_worker, payloads))
     else:
-        # nodes above the shard depth are handled inline, subtrees fan out
-        if lo < shard_depth:
-            predicate = _predicate_fn(args.predicate, args.n)
-            for H in descendants(NumericalSemigroup(), shard_depth - 1):
-                if H.genus >= lo:
-                    scanned += 1
-                    if predicate(H):
-                        rows.append((H.genus, H.gaps))
-        roots = [H.gaps for H in enumerate_genus_range(shard_depth, shard_depth, cap)]
-        payloads = [(gaps, max(lo, shard_depth), hi, args.predicate, args.n)
-                    for gaps in roots]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_scanned, part_rows in pool.map(_scan_worker, payloads):
-                scanned += part_scanned
-                rows.extend(part_rows)
+            parts = list(pool.map(_scan_worker, payloads))
+    scanned = sum(part_scanned for part_scanned, _ in parts)
+    rows = [row for _, part_rows in parts for row in part_rows]
     rows.sort()
     for genus, gaps in rows:
         H = NumericalSemigroup(gaps)
@@ -361,14 +352,8 @@ def _cmd_project(args) -> dict[str, Any]:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(json.dumps({"error": {"name": "Usage", "message": str(exc)}}),
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         if args.verb == "scan":
             return _cmd_scan(args, args.output)
         handler = {"info": _cmd_info, "classify": _cmd_classify,
@@ -376,21 +361,14 @@ def run(argv: list[str]) -> int:
                    "family": _cmd_family, "project": _cmd_project}[args.verb]
         _emit(handler(args), args.output)
         return EXIT_OK
-    except _UsageError as exc:
-        print(json.dumps({"error": {"name": "Usage", "message": str(exc)}}),
-              file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(json.dumps({"error": {"name": "Usage", "message": str(exc)}}),
-              file=sys.stderr)
-        return EXIT_USAGE
-    except UnknownPredicate as exc:
-        print(json.dumps({"error": {"name": exc.name, "message": str(exc)}}),
-              file=sys.stderr)
-        return EXIT_USAGE
-    except SemigroupError as exc:
-        print(json.dumps({"error": {"name": exc.name, "message": str(exc)}}))
-        return EXIT_DOMAIN
+    except (_UsageError, ValueError, SemigroupError) as exc:
+        # domain errors go to stdout with exit 2; usage errors, including
+        # an unknown predicate, go to stderr with exit 64
+        domain = isinstance(exc, SemigroupError) and not isinstance(exc, UnknownPredicate)
+        name = exc.name if isinstance(exc, SemigroupError) else "Usage"
+        print(json.dumps({"error": {"name": name, "message": str(exc)}}),
+              file=sys.stdout if domain else sys.stderr)
+        return EXIT_DOMAIN if domain else EXIT_USAGE
 
 
 def main() -> None:

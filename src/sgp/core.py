@@ -225,19 +225,6 @@ def descendants(H: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemi
             yield from descendants(child, max_genus)
 
 
-def enumerate_by_genus(g: int, cap: int = DEFAULT_GENUS_CAP) -> Iterator[NumericalSemigroup]:
-    """Every numerical semigroup of genus exactly g, each exactly once.
-
-    The stream is deterministic: children are visited in ascending order
-    of the removed generator.
-    """
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    if g > cap:
-        raise CapExceeded(f"genus {g} exceeds cap {cap}")
-    return (H for H in descendants(NumericalSemigroup(), g) if H.genus == g)
-
-
 def enumerate_genus_range(lo: int, hi: int,
                           cap: int = DEFAULT_GENUS_CAP) -> Iterator[NumericalSemigroup]:
     """Every semigroup with lo <= genus <= hi, in tree order."""

@@ -1,6 +1,6 @@
 import pytest
 
-from sgp.core import enumerate_by_genus
+from sgp.core import enumerate_genus_range
 
 
 @pytest.fixture(scope="session")
@@ -10,7 +10,7 @@ def by_genus():
 
     def get(g: int) -> list:
         if g not in cache:
-            cache[g] = list(enumerate_by_genus(g))
+            cache[g] = list(enumerate_genus_range(g, g))
         return cache[g]
 
     return get

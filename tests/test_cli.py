@@ -118,11 +118,74 @@ def test_scan_type_predicate(capsys):
 
 
 def test_scan_parallel_output_identical(capsys):
-    base = ["scan", "--genus", "2..9", "--predicate", "quasi_symmetric"]
-    code1, out1, _ = invoke(capsys, *base, "--parallelism", "1")
-    code2, out2, _ = invoke(capsys, *base, "--parallelism", "3")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # 0..3 ends before the shard depth (genus 5), 6..9 starts after it
+    for genus in ("0..3", "2..9", "6..9"):
+        base = ["scan", "--genus", genus, "--predicate", "quasi_symmetric"]
+        code1, out1, _ = invoke(capsys, *base, "--parallelism", "1")
+        code2, out2, _ = invoke(capsys, *base, "--parallelism", "3")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+
+def test_scan_walks_tree_once(capsys, monkeypatch):
+    import sgp.core
+    original = sgp.core.tree_children
+    expanded = []
+    children = 0
+
+    def counting(H):
+        nonlocal children
+        expanded.append(H.gaps)
+        result = original(H)
+        children += len(result)
+        return result
+
+    monkeypatch.setattr(sgp.core, "tree_children", counting)
+    code, out, _ = invoke(capsys, "scan", "--genus", "0..9",
+                          "--predicate", "symmetric", "--parallelism", "1")
+    assert code == 0
+    # semigroups of genus 1..9; each node's children are generated once
+    assert children == 1 + 2 + 4 + 7 + 12 + 23 + 39 + 67 + 118
+    assert len(expanded) == len(set(expanded))
+    assert json.loads(out.splitlines()[-1])["scanned"] == children + 1
+
+
+def test_scan_parallelism_bounds(capsys, monkeypatch):
+    import os
+    import sgp.cli
+    for bad in ("0", "-3"):
+        code, out, err = invoke(capsys, "scan", "--genus", "3",
+                                "--predicate", "symmetric", "--parallelism", bad)
+        assert code == 64 and out == ""
+        assert json.loads(err)["error"]["name"] == "Usage"
+    sizes = []
+
+    class FakePool:  # records the pool size, maps in-process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    # never ask the real pool for this many workers: fork starts them all
+    monkeypatch.setattr(sgp.cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    base = ["scan", "--predicate", "symmetric", "--parallelism", "1000000"]
+    code, out, _ = invoke(capsys, *base, "--genus", "2..9")
+    assert code == 0 and sizes == [3]  # clamped to the core count
+    code, _, _ = invoke(capsys, *base, "--genus", "2")
+    assert code == 0 and sizes == [3, 2]  # two semigroups of genus 2
+    code, _, _ = invoke(capsys, *base, "--genus", "1")
+    assert code == 0 and sizes == [3, 2]  # one shard runs in-process
+    code1, out1, _ = invoke(capsys, "scan", "--genus", "2..9",
+                            "--predicate", "symmetric")
+    assert out1 == out
 
 
 def test_scan_obstruction_predicate(capsys):
@@ -156,18 +219,23 @@ def test_gap_list_truncation(capsys):
 
 
 def test_exit_codes(capsys):
-    code, _, err = invoke(capsys, "info", "gens:4, 7")
-    assert code == 64
-    code, _, err = invoke(capsys, "scan", "--genus", "3",
-                          "--predicate", "mystery")
-    assert code == 64
-    code, out, _ = invoke(capsys, "info", "gens:4,6")
-    assert code == 2
-    assert json.loads(out)["error"]["name"] == "GcdNotOne"
-    code, out, _ = invoke(capsys, "family", "spurious", "--params", "N=2",
-                          "gamma=1", "A=3", "t=2", "g=16")
-    assert code == 2
-    assert json.loads(out)["error"]["name"] == "PreconditionViolated"
+    # argv, exit code, stream that carries the JSON error line, error.name
+    cases = [
+        (["classify", "gens:4,7"], 64, "err", "Usage"),  # argparse: no --N
+        (["info", "gens:4, 7"], 64, "err", "Usage"),  # malformed spec
+        (["bounds", "eval", "rho3", "x", "1"], 64, "err", "Usage"),
+        (["scan", "--genus", "3", "--predicate", "mystery"], 64, "err",
+         "UnknownPredicate"),
+        (["info", "gens:4,6"], 2, "out", "GcdNotOne"),
+        (["family", "spurious", "--params", "N=2", "gamma=1", "A=3", "t=2",
+          "g=16"], 2, "out", "PreconditionViolated"),
+    ]
+    for argv, want_code, stream, name in cases:
+        code, out, err = invoke(capsys, *argv)
+        assert code == want_code, argv
+        line, other = (out, err) if stream == "out" else (err, out)
+        assert other == "", argv
+        assert json.loads(line)["error"]["name"] == name, argv
 
 
 def test_text_mode_contains_all_fields(capsys):

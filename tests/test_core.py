@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgp.core import (NumericalSemigroup, apery_profile, enumerate_by_genus,
-                      enumerate_genus_range,
+from sgp.core import (NumericalSemigroup, apery_profile, enumerate_genus_range,
                       format_semigroup, from_gaps, from_generators,
                       natural_gamma, parse_semigroup, tree_children)
 from sgp.errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
@@ -139,9 +138,9 @@ def test_apery_invariants_exhaustive(by_genus):
 
 
 def test_enumeration_small_cases():
-    assert [H.gaps for H in enumerate_by_genus(0)] == [()]
-    assert sorted(H.gaps for H in enumerate_by_genus(2)) == [(1, 2), (1, 3)]
-    assert sum(1 for _ in enumerate_by_genus(5)) == 12
+    assert [H.gaps for H in enumerate_genus_range(0, 0)] == [()]
+    assert sorted(H.gaps for H in enumerate_genus_range(2, 2)) == [(1, 2), (1, 3)]
+    assert sum(1 for _ in enumerate_genus_range(5, 5)) == 12
 
 
 def test_enumeration_matches_subset_bruteforce():
@@ -159,7 +158,7 @@ def test_enumeration_matches_subset_bruteforce():
                 brute.add(combo)
         if g == 0:
             brute = {()}
-        assert {H.gaps for H in enumerate_by_genus(g)} == brute
+        assert {H.gaps for H in enumerate_genus_range(g, g)} == brute
 
 
 def test_natural_gamma_matches_apery_classes(by_genus):
@@ -184,7 +183,7 @@ def test_enumerate_genus_range():
 def test_enumeration_classical_counts():
     # classical counts of numerical semigroups by genus
     expected = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693]
-    assert [sum(1 for _ in enumerate_by_genus(g)) for g in range(15)] == expected
+    assert [sum(1 for _ in enumerate_genus_range(g, g)) for g in range(15)] == expected
 
 
 def test_tree_visits_each_semigroup_once():
@@ -195,10 +194,10 @@ def test_tree_visits_each_semigroup_once():
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
-        list(enumerate_by_genus(26))
+        list(enumerate_genus_range(26, 26))
     with pytest.raises(CapExceeded):
-        list(enumerate_by_genus(4, cap=3))
-    assert sum(1 for _ in enumerate_by_genus(4, cap=4)) == 7
+        list(enumerate_genus_range(4, 4, cap=3))
+    assert sum(1 for _ in enumerate_genus_range(4, 4, cap=4)) == 7
 
 
 def test_tree_children_order():
