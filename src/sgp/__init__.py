@@ -24,7 +24,7 @@ from .families import (Claim, FamilyResult, buchweitz_family, cover_family,
                        superelliptic_extremal, superelliptic_sharp,
                        superelliptic_spurious)
 from .obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, ConjecturedSums,
-                          GapSumProfile, conjectured_gap_sums,
+                          GapSumProfile, conjectured_gap_sums, fails_bc,
                           gap_sum_profile, pair_sum_extras,
                           pairing_obstruction)
 

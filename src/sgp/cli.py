@@ -21,8 +21,8 @@ from .classify import project_by_n, type_verdict
 from .core import (DEFAULT_GENUS_CAP, NumericalSemigroup, descendants,
                    format_semigroup, natural_gamma, parse_semigroup)
 from .errors import CapExceeded, SemigroupError, UnknownPredicate, WrongShape
-from .obstruction import (NOT_WEIERSTRASS, gap_sum_profile, pair_sum_extras,
-                          pairing_obstruction)
+from .obstruction import (NOT_WEIERSTRASS, fails_bc, gap_sum_profile,
+                          pair_sum_extras, pairing_obstruction)
 
 GAP_LIST_CAP = 512
 EXIT_OK = 0
@@ -51,18 +51,18 @@ def _genus_cap() -> int:
         raise _UsageError(f"SGP_GENUS_CAP must be an integer, got {raw!r}")
 
 
-def _gap_list(H: NumericalSemigroup) -> dict[str, Any]:
-    payload: dict[str, Any] = {"gaps": list(H.gaps[:GAP_LIST_CAP])}
-    if H.genus > GAP_LIST_CAP:
+def _gap_list(gaps: tuple[int, ...]) -> dict[str, Any]:
+    payload: dict[str, Any] = {"gaps": list(gaps[:GAP_LIST_CAP])}
+    if len(gaps) > GAP_LIST_CAP:
         payload["gaps_truncated"] = True
-        payload["gaps_omitted"] = H.genus - GAP_LIST_CAP
+        payload["gaps_omitted"] = len(gaps) - GAP_LIST_CAP
     return payload
 
 
 def _semigroup_json(H: NumericalSemigroup) -> dict[str, Any]:
     out: dict[str, Any] = {"genus": H.genus, "frobenius": H.frobenius,
                            "conductor": H.conductor}
-    out.update(_gap_list(H))
+    out.update(_gap_list(H.gaps))
     out["min_gens"] = list(H.min_generators)
     return out
 
@@ -281,7 +281,7 @@ def _predicate_fn(spec: str, n: int):
             raise UnknownPredicate(f"bad type predicate {spec!r}")
         return lambda H: type_verdict(H, type_n, type_gamma).is_type
     if spec == "bc_fail":
-        return lambda H: H.genus >= 2 and not gap_sum_profile(H, n).passes_bc
+        return lambda H: H.genus >= 2 and fails_bc(H, n)
     if spec == "symmetric":
         return lambda H: H.genus >= 1 and H.frobenius == 2 * H.genus - 1
     if spec == "quasi_symmetric":
@@ -306,7 +306,7 @@ def _scan_worker(payload: tuple[tuple[int, ...], int, int, str, int]):
             continue
         scanned += 1
         if predicate(H):
-            rows.append((H.genus, H.gaps))
+            rows.append((H.genus, H.gaps, H.min_generators))
     return scanned, rows
 
 
@@ -334,11 +334,10 @@ def _cmd_scan(args, mode: str) -> int:
     scanned = sum(part_scanned for part_scanned, _ in parts)
     rows = [row for _, part_rows in parts for row in part_rows]
     rows.sort()
-    for genus, gaps in rows:
-        H = NumericalSemigroup(gaps)
+    for genus, gaps, min_gens in rows:
         line: dict[str, Any] = {"genus": genus}
-        line.update(_gap_list(H))
-        line["min_gens"] = list(H.min_generators)
+        line.update(_gap_list(gaps))
+        line["min_gens"] = list(min_gens)
         _emit(line, mode)
     _emit({"summary": True, "predicate": args.predicate, "genus": [lo, hi],
            "scanned": scanned, "matched": len(rows)}, mode)

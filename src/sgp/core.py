@@ -24,7 +24,8 @@ class NumericalSemigroup:
     Instances are immutable values: equality and hashing go by the gap
     tuple.  Construction validates closure of the complement and raises
     NotASemigroup(a, b) with a concrete witness when two elements sum to
-    a listed gap.  Minimal generators are derived on first use and cached.
+    a listed gap.  Minimal generators are derived on first use and cached;
+    tree children get theirs from the parent's (see ``_child``).
     """
 
     __slots__ = ("gaps", "genus", "frobenius", "conductor",
@@ -128,6 +129,42 @@ class NumericalSemigroup:
         return tuple(x for x in range(1, bound)
                      if pos >> x & 1 and not sums >> x & 1)
 
+    def _child(self, x: int) -> NumericalSemigroup:
+        """H minus the minimal generator x > frobenius, built from H's fields.
+
+        Every minimal generator of the child lies below x + 1 + m, and a new
+        one has the form x + s with s a minimal generator of H, so the only
+        candidate is x + m (or, when x == m, the child is ordinary).
+        """
+        child = NumericalSemigroup.__new__(NumericalSemigroup)
+        c = self.conductor
+        child.gaps = self.gaps + (x,)
+        child.genus = self.genus + 1
+        child.frobenius = x
+        child.conductor = x + 1
+        mask = (1 << (x + 2)) - 1
+        bits = (self._member_bits | (mask ^ ((1 << c) - 1))) & ~(1 << x)
+        child._member_bits = bits
+        child._small_elements = self._small_elements + tuple(range(c, x))
+        child._check_closure(mask ^ bits)
+        gens = self.min_generators
+        m = gens[0]
+        i = gens.index(x)
+        gens = gens[:i] + gens[i + 1:]
+        if x == m:
+            gens += (2 * m, 2 * m + 1)
+        else:
+            # x + m is a new generator unless it splits as a + (x + m - a)
+            # with m < a <= (x + m) / 2, both elements of the child
+            t = x + m
+            for a in range(m + 1, t // 2 + 1):
+                if bits >> a & 1 and bits >> (t - a) & 1:
+                    break
+            else:
+                gens += (t,)
+        child._min_gens = gens
+        return child
+
 
 def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:
     """Build the semigroup whose gap set is exactly ``gaps``.
@@ -211,18 +248,18 @@ def apery_profile(H: NumericalSemigroup, m: int) -> AperyProfile:
 def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
     """Children in the genus tree: remove one minimal generator beyond the
     Frobenius number, in ascending order of the removed generator."""
-    return [NumericalSemigroup(H.gaps + (m,))
-            for m in H.min_generators if m > H.frobenius]
+    return [H._child(m) for m in H.min_generators if m > H.frobenius]
 
 
 def descendants(H: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigroup]:
-    """H and all its tree descendants of genus <= max_genus, depth first."""
-    if H.genus > max_genus:
-        return
-    yield H
-    if H.genus < max_genus:
-        for child in tree_children(H):
-            yield from descendants(child, max_genus)
+    """H and all its tree descendants of genus <= max_genus, depth first,
+    children in ascending order of the removed generator."""
+    stack = [H] if H.genus <= max_genus else []
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.genus < max_genus:
+            stack.extend(reversed(tree_children(node)))
 
 
 def enumerate_genus_range(lo: int, hi: int,

@@ -54,13 +54,26 @@ class GapSumProfile:
     excess: int | None
 
 
-def gap_sum_profile(H: NumericalSemigroup, n: int) -> GapSumProfile:
-    """Exact n-fold sumset of the gap set, with repetition allowed."""
+def _bc_bound(H: NumericalSemigroup, n: int) -> int:
+    """Buchweitz's bound (2n-1)(g-1) on the size of the n-fold gap sumset."""
     if n < 2:
         raise ValueError("need n >= 2")
-    g = H.genus
-    if g < 2:
+    if H.genus < 2:
         raise GenusTooSmall("gap-sum bound degenerates below genus 2")
+    return (2 * n - 1) * (H.genus - 1)
+
+
+def fails_bc(H: NumericalSemigroup, n: int) -> bool:
+    """``not gap_sum_profile(H, n).passes_bc``, from the popcount of the
+    sumset bits instead of a decode of every sum."""
+    bound = _bc_bound(H, n)
+    return _sumset_bits(H, n).bit_count() > bound
+
+
+def gap_sum_profile(H: NumericalSemigroup, n: int) -> GapSumProfile:
+    """Exact n-fold sumset of the gap set, with repetition allowed."""
+    bound = _bc_bound(H, n)
+    g = H.genus
     acc = _sumset_bits(H, n)
     sums = []
     bits = acc
@@ -69,7 +82,6 @@ def gap_sum_profile(H: NumericalSemigroup, n: int) -> GapSumProfile:
         sums.append(low.bit_length() - 1)
         bits ^= low
     card = len(sums)
-    bound = (2 * n - 1) * (g - 1)
     excess = None
     if n == 2 and H.frobenius <= 2 * g - 2:
         excess = card - (H.frobenius - 1) - g

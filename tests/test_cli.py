@@ -117,6 +117,19 @@ def test_scan_type_predicate(capsys):
     assert rows[-1]["matched"] == len(expected) > 0
 
 
+def test_scan_rows_carry_min_generators(capsys):
+    # rows print the generators the walk derived; the constructor agrees
+    from sgp.core import from_gaps
+    for predicate in ("symmetric", "type:2,1"):
+        code, out, _ = invoke(capsys, "scan", "--genus", "0..9",
+                              "--predicate", predicate)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert rows
+        for row in rows:
+            assert row["min_gens"] == list(from_gaps(row["gaps"]).min_generators)
+
+
 def test_scan_parallel_output_identical(capsys):
     # 0..3 ends before the shard depth (genus 5), 6..9 starts after it
     for genus in ("0..3", "2..9", "6..9"):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgp.core import (NumericalSemigroup, apery_profile, enumerate_genus_range,
-                      format_semigroup, from_gaps, from_generators,
-                      natural_gamma, parse_semigroup, tree_children)
+from sgp.core import (NumericalSemigroup, apery_profile, descendants,
+                      enumerate_genus_range, format_semigroup, from_gaps,
+                      from_generators, natural_gamma, parse_semigroup,
+                      tree_children)
 from sgp.errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
                         NotASemigroup)
 
@@ -206,6 +207,41 @@ def test_tree_children_order():
     assert [k.gaps for k in kids] == [(1, 2), (1, 3)]
 
 
+def _assert_children_match_constructor(H):
+    """Every tree child, built from H's fields, equals the validating
+    constructor on every field, minimal generators included."""
+    removed = [x for x in H.min_generators if x > H.frobenius]
+    kids = tree_children(H)
+    assert len(kids) == len(removed)
+    for x, kid in zip(removed, kids):
+        ref = NumericalSemigroup(H.gaps + (x,))
+        for field in ("gaps", "genus", "frobenius", "conductor",
+                      "_member_bits", "_small_elements"):
+            assert getattr(kid, field) == getattr(ref, field), (H.gaps, x, field)
+        assert kid.min_generators == ref.min_generators, (H.gaps, x)
+
+
+def test_tree_children_match_constructor_exhaustive():
+    for H in descendants(NumericalSemigroup(), 15):
+        _assert_children_match_constructor(H)
+
+
+def test_tree_children_of_ordinary_semigroups():
+    # removing x == m leaves the ordinary semigroup of multiplicity m + 1
+    for m in range(1, 41):
+        H = NumericalSemigroup(range(1, m))
+        assert H.min_generators[0] == m > H.frobenius
+        _assert_children_match_constructor(H)
+
+
+def test_walk_matches_a007323_through_genus_20():
+    counts = [0] * 21
+    for H in descendants(NumericalSemigroup(), 20):
+        counts[H.genus] += 1
+    assert counts == [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001,
+                      1693, 2857, 4806, 8045, 13467, 22464, 37396]
+
+
 def test_round_trip(by_genus):
     for g in range(13):
         for H in by_genus(g):
@@ -259,6 +295,12 @@ def test_generated_semigroup_properties(gens):
         sub = [x for x in H.min_generators if x != m]
         if sub and math.gcd(*sub) == 1:
             assert from_generators(sub) != H
+
+
+@given(generator_lists())
+@settings(max_examples=80, deadline=None)
+def test_tree_children_match_constructor_generated(gens):
+    _assert_children_match_constructor(from_generators(gens))
 
 
 @given(st.integers(1, 60))

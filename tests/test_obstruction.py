@@ -7,7 +7,7 @@ import pytest
 from sgp.core import from_gaps, from_generators
 from sgp.errors import GenusTooSmall, WrongShape
 from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS,
-                             conjectured_gap_sums, gap_sum_profile,
+                             conjectured_gap_sums, fails_bc, gap_sum_profile,
                              pair_sum_extras, pairing_obstruction)
 
 BUCHWEITZ_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
@@ -46,6 +46,17 @@ def test_profile_guards():
         gap_sum_profile(from_generators([2, 3]), 2)
     with pytest.raises(ValueError):
         gap_sum_profile(from_generators([2, 5]), 1)
+    with pytest.raises(GenusTooSmall):
+        fails_bc(from_generators([2, 3]), 2)
+    with pytest.raises(ValueError):
+        fails_bc(from_generators([2, 5]), 1)
+
+
+def test_fails_bc_matches_profile(by_genus):
+    for g in range(2, 14):
+        for H in by_genus(g):
+            for n in (2, 3, 4):
+                assert fails_bc(H, n) == (not gap_sum_profile(H, n).passes_bc)
 
 
 def test_profile_matches_bruteforce(by_genus):
