@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from .bounds import divisor_condition, rho1, rho3
 from .core import NumericalSemigroup, natural_gamma
-from .errors import GenusZero, NonDivisibleElement, NotPrime, PreconditionViolated
+from .errors import (ClaimFailed, GenusZero, NonDivisibleElement, NotPrime,
+                     PreconditionViolated)
 
 
 def is_prime(n: int) -> bool:
@@ -120,22 +121,25 @@ def exclusive_types(N: int, gamma: int, M: int, r: int) -> bool:
 def is_type_by_tail(H: NumericalSemigroup, N: int) -> bool:
     """Sufficient condition: every element not divisible by N exceeds
     2N*gamma_n.  When it holds, H is of type (N, gamma_n); the implication
-    is asserted."""
+    is checked and ClaimFailed raised if it does not hold."""
     gamma = natural_gamma(H, N)
     hyp = all(h % N == 0 for h in range(1, 2 * N * gamma + 1) if h in H)
-    if hyp:
-        assert type_verdict(H, N, gamma).is_type
+    if hyp and not type_verdict(H, N, gamma).is_type:
+        raise ClaimFailed(f"is_type_by_tail: the hypothesis holds but H is not "
+                          f"of type ({N}, {gamma})")
     return hyp
 
 
 def is_type_by_genus(H: NumericalSemigroup, N: int) -> bool:
     """Sufficient condition for prime N: genus > N^2*gamma_n - N + 1.
-    When it holds, H is of type (N, gamma_n); the implication is asserted."""
+    When it holds, H is of type (N, gamma_n); the implication is checked and
+    ClaimFailed raised if it does not hold."""
     _require_prime(N)
     gamma = natural_gamma(H, N)
     hyp = H.genus > rho1(2 * gamma, N, gamma)
-    if hyp:
-        assert type_verdict(H, N, gamma).is_type
+    if hyp and not type_verdict(H, N, gamma).is_type:
+        raise ClaimFailed(f"is_type_by_genus: genus {H.genus} is above the bound "
+                          f"but H is not of type ({N}, {gamma})")
     return hyp
 
 
@@ -153,7 +157,8 @@ def leading_gcd(H: NumericalSemigroup, N: int, A: int) -> int:
     d = 0
     for i in range(1, A - gamma + 1):
         d = gcd(d, H.element_at(i))
-    assert d == N, (d, N)
+    if d != N:
+        raise ClaimFailed(f"leading_gcd: expected {N}, got {d}")
     return d
 
 
@@ -195,9 +200,12 @@ def symmetry_profile(H: NumericalSemigroup) -> SymmetryProfile:
     if kind == "symmetric":
         # full pairing: h is an element iff ell - h is a gap
         for h in range(ell + 1):
-            assert (h in H) != (ell - h in H), (h, ell)
-    if even:
-        assert g - i not in H  # ell/2 is always a gap when ell is even
+            if (h in H) == (ell - h in H):
+                raise ClaimFailed(f"symmetry_profile: {h} and {ell - h} are "
+                                  f"both elements or both gaps")
+    if even and g - i in H:  # ell/2 is always a gap when ell is even
+        raise ClaimFailed(f"symmetry_profile: half the last gap, {g - i}, "
+                          f"is an element")
     return SymmetryProfile(kind, i, exceptional, len(window) != i - 1)
 
 
@@ -228,5 +236,6 @@ def project_by_n(H: NumericalSemigroup, N: int, gamma: int) -> NumericalSemigrou
             raise NonDivisibleElement(f"element m_{i} = {m} is not a multiple of {N}")
         head.add(m // N)
     result = NumericalSemigroup(x for x in range(1, 2 * gamma) if x not in head)
-    assert result.genus == gamma
+    if result.genus != gamma:
+        raise ClaimFailed(f"project_by_n: expected genus {gamma}, got {result.genus}")
     return result

@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 from . import bounds as bounds_mod
+from . import core as core_mod
 from . import families as families_mod
 from .classify import project_by_n, type_verdict
 from .core import (DEFAULT_GENUS_CAP, NumericalSemigroup, descendants,
@@ -279,8 +280,12 @@ def _predicate_fn(spec: str, n: int):
             type_n, type_gamma = int(body[0]), int(body[1])
         except ValueError:
             raise UnknownPredicate(f"bad type predicate {spec!r}")
+        if type_n < 1 or type_gamma < 0:
+            raise ValueError("need N >= 1 and gamma >= 0")
         return lambda H: type_verdict(H, type_n, type_gamma).is_type
     if spec == "bc_fail":
+        if n < 2:
+            raise ValueError("need n >= 2")
         return lambda H: H.genus >= 2 and fails_bc(H, n)
     if spec == "symmetric":
         return lambda H: H.genus >= 1 and H.frobenius == 2 * H.genus - 1
@@ -318,13 +323,24 @@ def _cmd_scan(args, mode: str) -> int:
     if args.parallelism < 1:
         raise _UsageError(f"--parallelism must be at least 1, got {args.parallelism}")
     _predicate_fn(args.predicate, args.n)  # fail fast on bad predicate
-    # one walk to the shard depth builds every shard: a node of smaller
-    # genus is a one-node shard, a node at the depth carries its subtree
-    shard_depth = min(hi, 5)
-    payloads = [(H.gaps, lo, hi if H.genus == shard_depth else H.genus,
-                 args.predicate, args.n)
-                for H in descendants(NumericalSemigroup(), shard_depth)
-                if H.genus == shard_depth or H.genus >= lo]
+    # nearly all of the tree hangs below the ordinary semigroups, so the
+    # shards follow their chain (an ordinary semigroup's first child is the
+    # next one): a chain node of genus >= lo is a one-node shard, each of
+    # its other children carries its subtree, and the chain stops at genus
+    # max(lo, hi - 5), whose node carries its subtree.  A deeper chain adds
+    # shards faster than it evens them out.  The list runs backwards, so
+    # the biggest shards go out first.
+    pred = (args.predicate, args.n)
+    payloads = []
+    H = NumericalSemigroup()
+    while H.genus < max(lo, hi - 5):
+        if H.genus >= lo:
+            payloads.append((H.gaps, lo, H.genus, *pred))
+        # looked up on the module, where the tests count expansions
+        H, *siblings = core_mod.tree_children(H)
+        payloads.extend((K.gaps, lo, hi, *pred) for K in siblings)
+    payloads.append((H.gaps, lo, hi, *pred))
+    payloads.reverse()
     workers = min(args.parallelism, os.cpu_count() or 1, len(payloads))
     if workers == 1:
         parts = list(map(_scan_worker, payloads))

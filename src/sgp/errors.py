@@ -37,7 +37,8 @@ class NotAnElement(SemigroupError):
 
 
 class CapExceeded(SemigroupError):
-    """Requested genus exceeds the configured enumeration cap."""
+    """A requested size (the genus of an enumeration, the width of a gap
+    sumset) exceeds its configured cap."""
 
 
 class NotPrime(SemigroupError):
@@ -92,5 +93,5 @@ class UnknownPredicate(SemigroupError):
 
 
 class ClaimFailed(SemigroupError):
-    """A family construction produced an object violating one of its
-    asserted properties."""
+    """A family construction, or a check of a theorem, produced an object
+    violating one of its asserted properties."""

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 from .classify import symmetry_profile
 from .core import NumericalSemigroup
-from .errors import GenusTooSmall, WrongShape
+from .errors import CapExceeded, GenusTooSmall, WrongShape
 
 NOT_WEIERSTRASS = "not_weierstrass"
 INCONCLUSIVE = "inconclusive"
+# widest n-fold sumset, n * frobenius, that the gap-sum checks will build
+SUMSET_WIDTH_CAP = 10**6
 
 
 def _gap_bits(H: NumericalSemigroup) -> int:
@@ -55,11 +57,15 @@ class GapSumProfile:
 
 
 def _bc_bound(H: NumericalSemigroup, n: int) -> int:
-    """Buchweitz's bound (2n-1)(g-1) on the size of the n-fold gap sumset."""
+    """Buchweitz's bound (2n-1)(g-1) on the size of the n-fold gap sumset,
+    behind the guards that fails_bc and gap_sum_profile share."""
     if n < 2:
         raise ValueError("need n >= 2")
     if H.genus < 2:
         raise GenusTooSmall("gap-sum bound degenerates below genus 2")
+    if n * H.frobenius > SUMSET_WIDTH_CAP:
+        raise CapExceeded(f"sumset width n * frobenius = {n * H.frobenius} "
+                          f"exceeds cap {SUMSET_WIDTH_CAP}")
     return (2 * n - 1) * (H.genus - 1)
 
 

@@ -10,7 +10,7 @@ from sgp.bounds import (castelnuovo_c, compositum_bound, coprime_lower_bound,
                         divisor_condition, evaluate, jenkins_bound, rho1, rho2,
                         rho3, rho4, rho4_u, rho5, total_ramification_threshold)
 from sgp.core import from_generators
-from sgp.errors import DegenerateDenominator, NotCoprime
+from sgp.errors import ClaimFailed, DegenerateDenominator, NotCoprime
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -82,6 +82,15 @@ def test_coprime_lower_bound_values():
     assert 3 in H35 and math.gcd(3, 5) == 1
     with pytest.raises(ValueError):
         coprime_lower_bound(H, 1)
+
+
+def test_coprime_lower_bound_claim_failed(monkeypatch):
+    # with gamma forced to 0 the bound is 21, above the element 17; the
+    # rescan raises rather than asserts, so it also runs under python -O
+    import sgp.bounds
+    monkeypatch.setattr(sgp.bounds, "natural_gamma", lambda H, n: 0)
+    with pytest.raises(ClaimFailed, match="element 17 is below the bound 21"):
+        coprime_lower_bound(from_generators([4, 6, 17]), 2)
 
 
 def test_coprime_lower_bound_exhaustive(by_genus):

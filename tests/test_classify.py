@@ -2,12 +2,14 @@
 
 import pytest
 
-from sgp.classify import (arithmetic_cover_criterion, exclusive_types,
-                          is_prime, is_type_by_genus, is_type_by_tail,
-                          leading_gcd, natural_gamma_fit, project_by_n,
-                          symmetry_profile, tail_structure, type_verdict)
-from sgp.core import from_gaps, from_generators, natural_gamma
-from sgp.errors import GenusZero, NotPrime, PreconditionViolated
+import sgp.classify
+from sgp.classify import (TypeVerdict, arithmetic_cover_criterion,
+                          exclusive_types, is_prime, is_type_by_genus,
+                          is_type_by_tail, leading_gcd, natural_gamma_fit,
+                          project_by_n, symmetry_profile, tail_structure,
+                          type_verdict)
+from sgp.core import NumericalSemigroup, from_gaps, from_generators, natural_gamma
+from sgp.errors import ClaimFailed, GenusZero, NotPrime, PreconditionViolated
 
 BUCHWEITZ_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
 
@@ -87,7 +89,7 @@ def test_is_type_by_genus():
 
 
 def test_is_type_by_genus_exhaustive(by_genus):
-    # the implication assert inside the call must never fire
+    # the implication check inside the call must never raise ClaimFailed
     for g in range(10):
         for H in by_genus(g):
             for n in (2, 3, 5, 7):
@@ -165,3 +167,53 @@ def test_project_preserves_genus(by_genus):
                 gamma = natural_gamma(H, n)
                 if type_verdict(H, n, gamma).is_type:
                     assert project_by_n(H, n, gamma).genus == gamma
+
+
+# The theorem checks raise ClaimFailed rather than assert, so that they
+# still run under python -O; each test below forces one of them to fail.
+
+def _type_verdict_says(monkeypatch, is_type):
+    def verdict(H, N, gamma):
+        return TypeVerdict(N, gamma, is_type, is_type, is_type, is_type, gamma)
+    monkeypatch.setattr(sgp.classify, "type_verdict", verdict)
+
+
+def test_is_type_by_tail_claim_failed(monkeypatch):
+    _type_verdict_says(monkeypatch, False)
+    with pytest.raises(ClaimFailed, match="is_type_by_tail"):
+        is_type_by_tail(from_generators([4, 6, 17]), 2)
+
+
+def test_is_type_by_genus_claim_failed(monkeypatch):
+    _type_verdict_says(monkeypatch, False)
+    with pytest.raises(ClaimFailed, match="is_type_by_genus"):
+        is_type_by_genus(from_generators([4, 6, 17]), 2)
+
+
+def test_leading_gcd_claim_failed(monkeypatch):
+    # <3, 4, 5> passes the faked preconditions, but its first element is 3
+    _type_verdict_says(monkeypatch, True)
+    monkeypatch.setattr(sgp.classify, "rho1", lambda A, N, gamma: -1)
+    with pytest.raises(ClaimFailed, match="leading_gcd: expected 2, got 3"):
+        leading_gcd(from_generators([3, 4, 5]), 2, 2)
+
+
+def test_symmetry_profile_pairing_claim_failed(monkeypatch):
+    monkeypatch.setattr(NumericalSemigroup, "_check_closure", lambda self, bits: None)
+    H = NumericalSemigroup((2, 3, 5))  # last gap 2g - 1, yet 1 and 4 are in H
+    with pytest.raises(ClaimFailed, match="1 and 4 are both elements"):
+        symmetry_profile(H)
+
+
+def test_symmetry_profile_half_gap_claim_failed(monkeypatch):
+    monkeypatch.setattr(NumericalSemigroup, "_check_closure", lambda self, bits: None)
+    H = NumericalSemigroup((1, 3, 4))  # last gap 4, yet 2 is in H
+    with pytest.raises(ClaimFailed, match="half the last gap, 2"):
+        symmetry_profile(H)
+
+
+def test_project_by_n_claim_failed(monkeypatch):
+    # m_1 = 8 and m_2 = 10 project to 4 and 5, which leaves genus 3, not 2
+    _type_verdict_says(monkeypatch, True)
+    with pytest.raises(ClaimFailed, match="expected genus 2, got 3"):
+        project_by_n(from_generators([8, 10, 11, 13]), 2, 2)

@@ -15,6 +15,33 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fake_pool(monkeypatch, cores):
+    """Run scan shards in-process on a machine with this many cores; return
+    the (pool size, shard results in dispatch order) of each pool made."""
+    import os
+    import sgp.cli
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.results = []
+            pools.append((max_workers, self.results))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            self.results.extend(map(fn, iterable))
+            return self.results
+
+    monkeypatch.setattr(sgp.cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    return pools
+
+
 def test_info(capsys):
     code, out, _ = invoke(capsys, "info", "gens:4,7")
     assert code == 0
@@ -131,8 +158,9 @@ def test_scan_rows_carry_min_generators(capsys):
 
 
 def test_scan_parallel_output_identical(capsys):
-    # 0..3 ends before the shard depth (genus 5), 6..9 starts after it
-    for genus in ("0..3", "2..9", "6..9"):
+    # the shard chain stops at genus max(lo, hi - 5): at hi - 5 for 2..9,
+    # at lo for the other ranges, and at lo = hi for 16
+    for genus in ("0..3", "2..9", "6..9", "12..14", "16"):
         base = ["scan", "--genus", genus, "--predicate", "quasi_symmetric"]
         code1, out1, _ = invoke(capsys, *base, "--parallelism", "1")
         code2, out2, _ = invoke(capsys, *base, "--parallelism", "3")
@@ -199,6 +227,46 @@ def test_scan_parallelism_bounds(capsys, monkeypatch):
     code1, out1, _ = invoke(capsys, "scan", "--genus", "2..9",
                             "--predicate", "symmetric")
     assert out1 == out
+
+
+def test_scan_shards_balance(capsys, monkeypatch):
+    # dispatched in order to whichever of 2 workers is free first, the
+    # shards of 12..17 split the 18,994 nodes about evenly
+    pools = fake_pool(monkeypatch, 2)
+    code, out, _ = invoke(capsys, "scan", "--genus", "12..17",
+                          "--predicate", "symmetric", "--parallelism", "2")
+    assert code == 0
+    [(size, results)] = pools
+    counts = [scanned for scanned, _ in results]
+    # the chain stops at genus 12: the k other children of each ordinary
+    # semigroup of genus k < 12, then the genus-12 one; every extra shard
+    # costs a pool task
+    assert size == 2 and len(counts) == sum(range(12)) + 1 == 67
+    assert sum(counts) == 18994
+    assert json.loads(out.splitlines()[-1])["scanned"] == 18994
+    loads = [0, 0]
+    for count in counts:
+        loads[loads.index(min(loads))] += count
+    assert max(loads) <= 0.55 * 18994, loads
+
+
+def test_scan_bad_predicate_parameters_fail_before_pool(capsys, monkeypatch):
+    pools = fake_pool(monkeypatch, 2)
+    for predicate, message in ((["type:0,1"], "need N >= 1 and gamma >= 0"),
+                               (["type:2,-1"], "need N >= 1 and gamma >= 0"),
+                               (["bc_fail", "--n", "1"], "need n >= 2")):
+        # genus 0..1 has no node that bc_fail evaluates
+        code, out, err = invoke(capsys, "scan", "--genus", "0..1", "--parallelism",
+                                "2", "--predicate", *predicate)
+        assert code == 64 and out == "", predicate
+        assert json.loads(err)["error"] == {"name": "Usage", "message": message}
+    assert pools == []
+
+
+def test_obstruct_sumset_cap(capsys):
+    code, out, err = invoke(capsys, "obstruct", "gens:3,4", "--n", "10000000")
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"]["name"] == "CapExceeded"
 
 
 def test_scan_obstruction_predicate(capsys):

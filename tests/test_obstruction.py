@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from sgp.core import from_gaps, from_generators
-from sgp.errors import GenusTooSmall, WrongShape
+from sgp.errors import CapExceeded, GenusTooSmall, WrongShape
 from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS,
                              conjectured_gap_sums, fails_bc, gap_sum_profile,
                              pair_sum_extras, pairing_obstruction)
@@ -50,6 +50,21 @@ def test_profile_guards():
         fails_bc(from_generators([2, 3]), 2)
     with pytest.raises(ValueError):
         fails_bc(from_generators([2, 5]), 1)
+
+
+def test_sumset_width_cap(monkeypatch):
+    # the check, not the blow-up: n * frobenius against the cap, before any
+    # sumset is built; <3, 4> has frobenius 5
+    H = from_generators([3, 4])
+    with pytest.raises(CapExceeded):
+        gap_sum_profile(H, 10**7)
+    import sgp.obstruction
+    monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", 15)
+    assert gap_sum_profile(H, 3).cardinality == len(brute_sums(H.gaps, 3))
+    assert fails_bc(H, 3) is False
+    for check in (gap_sum_profile, fails_bc):
+        with pytest.raises(CapExceeded, match="n \\* frobenius = 20 exceeds cap 15"):
+            check(H, 4)
 
 
 def test_fails_bc_matches_profile(by_genus):
