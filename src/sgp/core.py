@@ -13,23 +13,29 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator
 
-from .errors import CapExceeded, EmptyInput, GcdNotOne, NotAnElement, NotASemigroup
+from .errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
+                     NotASemigroup, PreconditionViolated)
 
 DEFAULT_GENUS_CAP = 25
+# gap sumset levels S_1 .. S_k a semigroup keeps and hands to its tree
+# children; all k levels take O(k^2 * frobenius) bits
+SUMSET_CACHED_LEVELS = 8
 
 
 class NumericalSemigroup:
     """Cofinite additive subsemigroup of the naturals, keyed by its gap set.
 
     Instances are immutable values: equality and hashing go by the gap
-    tuple.  Construction validates closure of the complement and raises
+    tuple.  The constructor validates closure of the complement and raises
     NotASemigroup(a, b) with a concrete witness when two elements sum to
-    a listed gap.  Minimal generators are derived on first use and cached;
-    tree children get theirs from the parent's (see ``_child``).
+    a listed gap.  Tree children skip that sieve: ``_child`` proves their
+    closure with an O(k) guard on the removed generator.  Minimal
+    generators and the n-fold gap sumsets are derived on first use and
+    cached, and tree children get both from the parent's.
     """
 
     __slots__ = ("gaps", "genus", "frobenius", "conductor",
-                 "_member_bits", "_small_elements", "_min_gens")
+                 "_member_bits", "_small_elements", "_min_gens", "_sumsets")
 
     def __init__(self, gaps: Iterable[int] = ()):
         gap_list = sorted(set(gaps))
@@ -47,6 +53,7 @@ class NumericalSemigroup:
         self._small_elements = tuple(
             k for k in range(self.conductor) if self._member_bits >> k & 1)
         self._min_gens: tuple[int, ...] | None = None
+        self._sumsets: tuple[int, ...] = ()
         self._check_closure(gap_bits)
 
     def _check_closure(self, gap_bits: int) -> None:
@@ -129,13 +136,52 @@ class NumericalSemigroup:
         return tuple(x for x in range(1, bound)
                      if pos >> x & 1 and not sums >> x & 1)
 
+    def _gap_bits(self) -> int:
+        """Bitset of the gaps: bit k set iff k is a gap."""
+        return ((1 << self.conductor) - 1) & ~self._member_bits
+
+    def _sumset(self, n: int) -> int:
+        """Bitset of the sums of n gaps, with repetition allowed.
+
+        S_j is built from S_{j-1} by one shift-or per gap.  The first
+        SUMSET_CACHED_LEVELS levels are kept in ``_sumsets``, so a large n
+        holds no more than that many bitsets.
+        """
+        sums = self._sumsets
+        if n <= len(sums):
+            return sums[n - 1]
+        levels = list(sums) or [self._gap_bits()]
+        acc = levels[-1]
+        for j in range(len(levels) + 1, n + 1):
+            nxt = 0
+            for gap in self.gaps:
+                nxt |= acc << gap
+            acc = nxt
+            if j <= SUMSET_CACHED_LEVELS:
+                levels.append(acc)
+        self._sumsets = tuple(levels)
+        return acc
+
     def _child(self, x: int) -> NumericalSemigroup:
         """H minus the minimal generator x > frobenius, built from H's fields.
 
-        Every minimal generator of the child lies below x + 1 + m, and a new
-        one has the form x + s with s a minimal generator of H, so the only
-        candidate is x + m (or, when x == m, the child is ordinary).
+        H minus x is closed exactly when x is not a sum of two nonzero
+        elements, that is, when x is a minimal generator, so that guard
+        replaces the constructor's closure sieve.  Every minimal generator
+        of the child lies below x + 1 + m, and a new one has the form x + s
+        with s a minimal generator of H, so the only candidate is x + m (or,
+        when x == m, the child is ordinary).  Cached gap sumsets S_1 .. S_k
+        carry over as S_j' = S_j | (S_{j-1}' << x), with S_0' = {0}.
         """
+        if x <= max(self.frobenius, 0):
+            raise PreconditionViolated(
+                f"removed element {x} must be positive and above the "
+                f"Frobenius number {self.frobenius}")
+        gens = self.min_generators
+        if x not in gens:
+            # x is an element above the Frobenius number, so it splits
+            a = next(a for a in range(1, x // 2 + 1) if a in self and x - a in self)
+            raise NotASemigroup(a, x - a)
         child = NumericalSemigroup.__new__(NumericalSemigroup)
         c = self.conductor
         child.gaps = self.gaps + (x,)
@@ -146,8 +192,6 @@ class NumericalSemigroup:
         bits = (self._member_bits | (mask ^ ((1 << c) - 1))) & ~(1 << x)
         child._member_bits = bits
         child._small_elements = self._small_elements + tuple(range(c, x))
-        child._check_closure(mask ^ bits)
-        gens = self.min_generators
         m = gens[0]
         i = gens.index(x)
         gens = gens[:i] + gens[i + 1:]
@@ -163,6 +207,15 @@ class NumericalSemigroup:
             else:
                 gens += (t,)
         child._min_gens = gens
+        sums = self._sumsets
+        if sums:
+            carried = []
+            prev = 1
+            for s in sums:
+                prev = s | (prev << x)
+                carried.append(prev)
+            sums = tuple(carried)
+        child._sumsets = sums
         return child
 
 

@@ -12,7 +12,7 @@ from sgp.core import (NumericalSemigroup, apery_profile, descendants,
                       from_generators, natural_gamma, parse_semigroup,
                       tree_children)
 from sgp.errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
-                        NotASemigroup)
+                        NotASemigroup, PreconditionViolated)
 
 
 def sieve_elements(gens, bound):
@@ -224,6 +224,28 @@ def _assert_children_match_constructor(H):
 def test_tree_children_match_constructor_exhaustive():
     for H in descendants(NumericalSemigroup(), 15):
         _assert_children_match_constructor(H)
+
+
+def test_child_rejects_bad_removal():
+    H = from_generators([3, 4, 5])  # frobenius 2
+    for x in (2, 1, 0, -1):
+        with pytest.raises(PreconditionViolated):
+            H._child(x)
+    with pytest.raises(PreconditionViolated):
+        NumericalSemigroup()._child(0)
+    # above the Frobenius number but not a minimal generator: the witness
+    # is the one the constructor's closure check reports
+    for x, witness in ((6, (3, 3)), (7, (3, 4))):
+        with pytest.raises(NotASemigroup) as err:
+            H._child(x)
+        assert err.value.witness == witness
+        with pytest.raises(NotASemigroup) as ref:
+            NumericalSemigroup(H.gaps + (x,))
+        assert ref.value.witness == witness
+    with pytest.raises(NotASemigroup) as err:
+        H._child(10**9)
+    assert err.value.witness == (3, 10**9 - 3)
+    assert H._child(5).gaps == (1, 2, 5)
 
 
 def test_tree_children_of_ordinary_semigroups():

@@ -1,10 +1,14 @@
 """Gap-sum profiles, the closed-form candidate set, and the pairing test."""
 
+import math
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgp.core import from_gaps, from_generators
+from sgp.core import (SUMSET_CACHED_LEVELS, NumericalSemigroup, descendants,
+                      from_gaps, from_generators)
 from sgp.errors import CapExceeded, GenusTooSmall, WrongShape
 from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS,
                              conjectured_gap_sums, fails_bc, gap_sum_profile,
@@ -62,9 +66,58 @@ def test_sumset_width_cap(monkeypatch):
     monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", 15)
     assert gap_sum_profile(H, 3).cardinality == len(brute_sums(H.gaps, 3))
     assert fails_bc(H, 3) is False
-    for check in (gap_sum_profile, fails_bc):
+    assert conjectured_gap_sums(H, 3).values == tuple(range(3, 13)) + (15,)
+    for check in (gap_sum_profile, fails_bc, conjectured_gap_sums):
         with pytest.raises(CapExceeded, match="n \\* frobenius = 20 exceeds cap 15"):
             check(H, 4)
+
+
+def _assert_carried_sumsets_match_fresh(root, max_genus, order):
+    """Walk the tree below root and fill each node's gap sumsets, n in the
+    given order, before its children are built, so every child of a filled
+    node derives its sumsets from its parent's.  Each must equal the ones a
+    freshly constructed semigroup builds gap by gap."""
+    for H in descendants(root, max_genus):
+        if H.genus < 2:
+            continue
+        for n in order:
+            fails_bc(H, n)
+        fresh = NumericalSemigroup(H.gaps)
+        for n in (2, 3, 4):
+            p = gap_sum_profile(H, n)
+            assert p.sums == gap_sum_profile(fresh, n).sums, (H.gaps, n)
+            assert fails_bc(H, n) == (not p.passes_bc)
+
+
+@pytest.mark.parametrize("order", [(2, 3), (3, 2)])
+def test_carried_sumsets_match_fresh_exhaustive(order):
+    _assert_carried_sumsets_match_fresh(NumericalSemigroup(), 15, order)
+
+
+@st.composite
+def _small_generator_lists(draw):
+    gens = draw(st.lists(st.integers(2, 16), min_size=1, max_size=4))
+    if math.gcd(*gens) != 1:
+        gens.append(gens[0] + 1)
+    return gens
+
+
+@given(_small_generator_lists(), st.sampled_from([(2, 3), (3, 2)]))
+@settings(max_examples=60, deadline=None)
+def test_carried_sumsets_match_fresh_generated(gens, order):
+    root = from_generators(gens)
+    _assert_carried_sumsets_match_fresh(root, root.genus + 2, order)
+
+
+def test_sumset_cache_keeps_few_levels():
+    # levels past the cached ones are built from the last kept level
+    H = from_generators([3, 4, 5])
+    n = SUMSET_CACHED_LEVELS + 4
+    assert gap_sum_profile(H, n).sums == tuple(brute_sums(H.gaps, n))
+    assert len(H._sumsets) == SUMSET_CACHED_LEVELS
+    kid = H._child(4)
+    assert len(kid._sumsets) == SUMSET_CACHED_LEVELS
+    assert gap_sum_profile(kid, n).sums == tuple(brute_sums(kid.gaps, n))
 
 
 def test_fails_bc_matches_profile(by_genus):
