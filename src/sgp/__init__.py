@@ -15,7 +15,7 @@ from .classify import (GammaFit, SymmetryProfile, TypeVerdict,
                        arithmetic_cover_criterion, exclusive_types, is_prime,
                        is_type_by_genus, is_type_by_tail, leading_gcd,
                        natural_gamma_fit, project_by_n, symmetry_profile,
-                       tail_structure, type_verdict)
+                       tail_structure, type_test, type_verdict)
 from .core import (DEFAULT_GENUS_CAP, AperyProfile, NumericalSemigroup,
                    apery_profile, descendants, enumerate_genus_range,
                    format_semigroup, from_gaps, from_generators,
@@ -26,6 +26,6 @@ from .families import (Claim, FamilyResult, buchweitz_family, cover_family,
 from .obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, ConjecturedSums,
                           GapSumProfile, conjectured_gap_sums, fails_bc,
                           gap_sum_profile, pair_sum_extras,
-                          pairing_obstruction)
+                          pairing_obstruction, pairing_rules_out)
 
 __version__ = "0.1.0"

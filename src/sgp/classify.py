@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .bounds import divisor_condition, rho1, rho3
 from .core import NumericalSemigroup, natural_gamma
@@ -54,20 +54,76 @@ class TypeVerdict:
     gamma_n: int
 
 
+def _multiples(N: int, count: int) -> int:
+    """Bitset with bits N, 2N, ..., count*N set, built by doubling."""
+    bits = 1 << N if count > 0 else 0
+    done = 1
+    while done < count:
+        step = min(done, count - done)
+        bits |= bits << (step * N)
+        done += step
+    return bits
+
+
+def _type_conditions(H: NumericalSemigroup, N: int, gamma: int,
+                     multiples: int) -> tuple[bool, bool, bool]:
+    """Conditions (a), (b), (c) of type (N, gamma) from H's membership bitset.
+
+    ``multiples`` has the bit kN set for each 1 <= k <= 2*gamma, at least
+    for every kN up to the conductor.  Every number from the conductor on
+    is an element, so the work is bounded by the conductor, not by gamma
+    or N.
+    """
+    c = H.conductor
+    bits = H._member_bits  # bits 0 .. conductor
+    # (a): the multiples up to the conductor by popcount; the others are elements
+    cond_a = (bits & multiples).bit_count() + 2 * gamma - min(2 * gamma, c // N) == gamma
+    # (b): 2N*gamma is an element with exactly gamma elements below it
+    top = 2 * N * gamma
+    if top >= c:
+        cond_b = top - H.genus == gamma
+    else:
+        cond_b = (bits >> top & 1 == 1
+                  and bits.bit_count() - (bits >> top).bit_count() == gamma)
+    cond_c = top + N >= c or bits >> (top + N) & 1 == 1
+    return cond_a, cond_b, cond_c
+
+
 def type_verdict(H: NumericalSemigroup, N: int, gamma: int) -> TypeVerdict:
     """Evaluate all three conditions independently (no short-circuiting).
 
-    At gamma = 0 condition (a) is vacuous and (b) reads m_0 = 0, so type
-    (N, 0) reduces to N being an element.
+    The conditions come from the membership bitset (``_type_conditions``),
+    so a huge gamma or N costs no more than a small one.  At gamma = 0
+    condition (a) is vacuous and (b) reads m_0 = 0, so type (N, 0) reduces
+    to N being an element.
     """
     if N < 1 or gamma < 0:
         raise ValueError("need N >= 1 and gamma >= 0")
-    multiples = sum(1 for k in range(1, 2 * gamma + 1) if k * N in H)
-    cond_a = multiples == gamma
-    cond_b = H.element_at(gamma) == 2 * N * gamma
-    cond_c = (2 * gamma + 1) * N in H
+    multiples = _multiples(N, min(2 * gamma, H.conductor // N))
+    cond_a, cond_b, cond_c = _type_conditions(H, N, gamma, multiples)
     return TypeVerdict(N, gamma, cond_a, cond_b, cond_c,
                        cond_a and cond_b and cond_c, natural_gamma(H, N))
+
+
+def type_test(N: int, gamma: int) -> Callable[[NumericalSemigroup], bool]:
+    """``lambda H: type_verdict(H, N, gamma).is_type`` for many semigroups.
+
+    The mask of multiples of N is built once and widened only when a
+    conductor outgrows it; no verdict object or gamma_n is computed.
+    """
+    if N < 1 or gamma < 0:
+        raise ValueError("need N >= 1 and gamma >= 0")
+    width = 64
+    multiples = _multiples(N, min(2 * gamma, width // N))
+
+    def is_type(H: NumericalSemigroup) -> bool:
+        nonlocal width, multiples
+        if H.conductor > width:
+            width = 2 * H.conductor
+            multiples = _multiples(N, min(2 * gamma, width // N))
+        return all(_type_conditions(H, N, gamma, multiples))
+
+    return is_type
 
 
 def tail_structure(H: NumericalSemigroup, N: int, gamma: int) -> bool:

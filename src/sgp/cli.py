@@ -12,18 +12,17 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 from . import bounds as bounds_mod
 from . import core as core_mod
 from . import families as families_mod
-from .classify import project_by_n, type_verdict
+from .classify import project_by_n, type_test, type_verdict
 from .core import (DEFAULT_GENUS_CAP, NumericalSemigroup, descendants,
                    format_semigroup, natural_gamma, parse_semigroup)
-from .errors import CapExceeded, SemigroupError, UnknownPredicate, WrongShape
-from .obstruction import (NOT_WEIERSTRASS, fails_bc, gap_sum_profile,
-                          pair_sum_extras, pairing_obstruction)
+from .errors import CapExceeded, SemigroupError, UnknownPredicate
+from .obstruction import (fails_bc, gap_sum_profile, pair_sum_extras,
+                          pairing_rules_out)
 
 GAP_LIST_CAP = 512
 EXIT_OK = 0
@@ -31,6 +30,13 @@ EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
 PREDICATES = ("bc_fail", "symmetric", "quasi_symmetric", "obstruction")
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported on first call, so a
+    serial scan or a single query never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 class _UsageError(Exception):
@@ -280,9 +286,7 @@ def _predicate_fn(spec: str, n: int):
             type_n, type_gamma = int(body[0]), int(body[1])
         except ValueError:
             raise UnknownPredicate(f"bad type predicate {spec!r}")
-        if type_n < 1 or type_gamma < 0:
-            raise ValueError("need N >= 1 and gamma >= 0")
-        return lambda H: type_verdict(H, type_n, type_gamma).is_type
+        return type_test(type_n, type_gamma)
     if spec == "bc_fail":
         if n < 2:
             raise ValueError("need n >= 2")
@@ -292,12 +296,7 @@ def _predicate_fn(spec: str, n: int):
     if spec == "quasi_symmetric":
         return lambda H: H.genus >= 1 and H.frobenius == 2 * H.genus - 2
     if spec == "obstruction":
-        def matches(H: NumericalSemigroup) -> bool:
-            try:
-                return pairing_obstruction(H) == NOT_WEIERSTRASS
-            except WrongShape:
-                return False
-        return matches
+        return pairing_rules_out
     raise UnknownPredicate(f"unknown predicate {spec!r}")
 
 

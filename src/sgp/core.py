@@ -29,13 +29,15 @@ class NumericalSemigroup:
     tuple.  The constructor validates closure of the complement and raises
     NotASemigroup(a, b) with a concrete witness when two elements sum to
     a listed gap.  Tree children skip that sieve: ``_child`` proves their
-    closure with an O(k) guard on the removed generator.  Minimal
-    generators and the n-fold gap sumsets are derived on first use and
-    cached, and tree children get both from the parent's.
+    closure with an O(k) guard on the removed generator.  The elements
+    below the conductor, the minimal generators and the n-fold gap sumsets
+    are derived on first use and cached, so a node pays only for what is
+    read of it; tree children derive their generators and carry their
+    sumsets from the parent's.
     """
 
-    __slots__ = ("gaps", "genus", "frobenius", "conductor",
-                 "_member_bits", "_small_elements", "_min_gens", "_sumsets")
+    __slots__ = ("gaps", "genus", "frobenius", "conductor", "_member_bits",
+                 "_small", "_min_gens", "_gens_from", "_sumsets")
 
     def __init__(self, gaps: Iterable[int] = ()):
         gap_list = sorted(set(gaps))
@@ -50,9 +52,10 @@ class NumericalSemigroup:
             gap_bits |= 1 << v
         # bit k set iff k in H, for 0 <= k <= conductor
         self._member_bits = ((1 << (self.conductor + 1)) - 1) & ~gap_bits
-        self._small_elements = tuple(
-            k for k in range(self.conductor) if self._member_bits >> k & 1)
+        self._small: tuple[int, ...] | None = None
         self._min_gens: tuple[int, ...] | None = None
+        # a tree child's (parent's minimal generators, removed generator)
+        self._gens_from: tuple[tuple[int, ...], int] | None = None
         self._sumsets: tuple[int, ...] = ()
         self._check_closure(gap_bits)
 
@@ -92,6 +95,14 @@ class NumericalSemigroup:
     def __repr__(self) -> str:
         return f"NumericalSemigroup(gens={list(self.min_generators)})"
 
+    @property
+    def _small_elements(self) -> tuple[int, ...]:
+        """Elements below the conductor, ascending, decoded on first use."""
+        if self._small is None:
+            self._small = _bit_positions(
+                self._member_bits & ((1 << self.conductor) - 1))
+        return self._small
+
     def element_at(self, i: int) -> int:
         """The i-th smallest element, 0-indexed from element_at(0) == 0."""
         if i < 0:
@@ -114,7 +125,8 @@ class NumericalSemigroup:
     @property
     def min_generators(self) -> tuple[int, ...]:
         if self._min_gens is None:
-            self._min_gens = self._compute_min_generators()
+            self._min_gens = (self._compute_min_generators() if self._gens_from is None
+                              else self._derive_min_generators())
         return self._min_gens
 
     def _compute_min_generators(self) -> tuple[int, ...]:
@@ -167,11 +179,11 @@ class NumericalSemigroup:
 
         H minus x is closed exactly when x is not a sum of two nonzero
         elements, that is, when x is a minimal generator, so that guard
-        replaces the constructor's closure sieve.  Every minimal generator
-        of the child lies below x + 1 + m, and a new one has the form x + s
-        with s a minimal generator of H, so the only candidate is x + m (or,
-        when x == m, the child is ordinary).  Cached gap sumsets S_1 .. S_k
-        carry over as S_j' = S_j | (S_{j-1}' << x), with S_0' = {0}.
+        replaces the constructor's closure sieve.  The child keeps H's
+        generators and x, and derives its own on first access
+        (``_derive_min_generators``); a walk reads them only on the nodes
+        it expands or emits.  Cached gap sumsets S_1 .. S_k carry over as
+        S_j' = S_j | (S_{j-1}' << x), with S_0' = {0}.
         """
         if x <= max(self.frobenius, 0):
             raise PreconditionViolated(
@@ -189,24 +201,10 @@ class NumericalSemigroup:
         child.frobenius = x
         child.conductor = x + 1
         mask = (1 << (x + 2)) - 1
-        bits = (self._member_bits | (mask ^ ((1 << c) - 1))) & ~(1 << x)
-        child._member_bits = bits
-        child._small_elements = self._small_elements + tuple(range(c, x))
-        m = gens[0]
-        i = gens.index(x)
-        gens = gens[:i] + gens[i + 1:]
-        if x == m:
-            gens += (2 * m, 2 * m + 1)
-        else:
-            # x + m is a new generator unless it splits as a + (x + m - a)
-            # with m < a <= (x + m) / 2, both elements of the child
-            t = x + m
-            for a in range(m + 1, t // 2 + 1):
-                if bits >> a & 1 and bits >> (t - a) & 1:
-                    break
-            else:
-                gens += (t,)
-        child._min_gens = gens
+        child._member_bits = (self._member_bits | (mask ^ ((1 << c) - 1))) & ~(1 << x)
+        child._small = None
+        child._min_gens = None
+        child._gens_from = (gens, x)
         sums = self._sumsets
         if sums:
             carried = []
@@ -217,6 +215,33 @@ class NumericalSemigroup:
             sums = tuple(carried)
         child._sumsets = sums
         return child
+
+    def _derive_min_generators(self) -> tuple[int, ...]:
+        """A tree child's minimal generators from its parent's.
+
+        Every minimal generator of the child lies below x + 1 + m, and a new
+        one has the form x + s with s a minimal generator of the parent, so
+        the only candidate is x + m (or, when x == m, the child is ordinary).
+        """
+        gens, x = self._gens_from
+        bits = self._member_bits
+        m = gens[0]
+        i = gens.index(x)
+        gens = gens[:i] + gens[i + 1:]
+        if x == m:
+            return gens + (2 * m, 2 * m + 1)
+        # x + m is a new generator unless it splits as a + (x + m - a)
+        # with m < a <= (x + m) / 2, both elements of the child
+        t = x + m
+        for a in range(m + 1, t // 2 + 1):
+            if bits >> a & 1 and bits >> (t - a) & 1:
+                return gens
+        return gens + (t,)
+
+
+def _bit_positions(bits: int) -> tuple[int, ...]:
+    """Positions of the set bits, ascending, from one pass over bin()."""
+    return tuple(i for i, d in enumerate(reversed(bin(bits)[2:])) if d == "1")
 
 
 def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import symmetry_profile
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _bit_positions
 from .errors import CapExceeded, GenusTooSmall, WrongShape
 
 NOT_WEIERSTRASS = "not_weierstrass"
@@ -31,11 +30,6 @@ def _sumset_bits(H: NumericalSemigroup, n: int) -> int:
         raise CapExceeded(f"sumset width n * frobenius = {n * H.frobenius} "
                           f"exceeds cap {SUMSET_WIDTH_CAP}")
     return H._sumset(n)
-
-
-def _bit_positions(bits: int) -> tuple[int, ...]:
-    """Positions of the set bits, ascending, from one pass over bin()."""
-    return tuple(i for i, d in enumerate(reversed(bin(bits)[2:])) if d == "1")
 
 
 @dataclass(frozen=True)
@@ -132,34 +126,25 @@ def conjectured_gap_sums(H: NumericalSemigroup, n: int) -> ConjecturedSums:
                            ell <= 2 * H.genus - 2)
 
 
-def pairing_obstruction(H: NumericalSemigroup) -> str:
-    """Rule H out as a Weierstrass semigroup from its exceptional gaps.
+def _pairing_verdict(H: NumericalSemigroup) -> str | None:
+    """pairing_obstruction(H), or None where it raises WrongShape.
 
-    Requires last gap 2g-2i+1 with i >= 4 and the i-1 pairing-violating
-    gaps h_1 > ... > h_{i-1} of the symmetry profile.  If
-    h_1 + h_{i-1} > 2 h_2, and 2*last_gap - h_u - h_v is a gap for every
-    pair on the two descending sum chains (h_1 against everything, then
-    the consecutive chain among h_2, ..., h_{i-1}), the pairwise sumset
-    overshoots its bound by at least 2i-2 and H cannot be a Weierstrass
-    semigroup.  Returns "not_weierstrass" or "inconclusive".
-
-    The gap condition is checked literally; when a chain sum equals
-    last_gap plus an exceptional gap it can hold even though that sum is
-    already inside the guaranteed baseline, so callers wanting the count
-    certified should cross-check gap_sum_profile(H, 2).
+    The shape of the last gap is checked first; only then are the
+    exceptional gaps read, straight from the membership bitset.
     """
     g = H.genus
     ell = H.frobenius
     if g == 0 or ell % 2 == 0:
-        raise WrongShape("last gap must be odd and of the form 2g-2i+1 with i >= 4")
-    i = (2 * g + 1 - ell) // 2
+        return None
+    i = g - ell // 2  # ell = 2g - 2i + 1
     if i < 4:
-        raise WrongShape(f"need i >= 4, got i = {i}")
-    profile = symmetry_profile(H)
-    hs = tuple(h for h in profile.exceptional_gaps if h > g - i)
+        return None
+    bits = H._member_bits
+    # descending: the gaps h in (g - i, ell) whose mirror ell - h is a gap too
+    hs = tuple(h for h in range(ell - 1, g - i, -1)
+               if not bits >> h & 1 and not bits >> (ell - h) & 1)
     if len(hs) != i - 1:
-        raise WrongShape(
-            f"expected {i - 1} exceptional gaps in ({g - i}, {ell}), found {len(hs)}")
+        return None
     if not hs[0] + hs[-1] > 2 * hs[1]:
         return INCONCLUSIVE
     pairs = [(1, v) for v in range(1, i)]
@@ -171,3 +156,33 @@ def pairing_obstruction(H: NumericalSemigroup) -> str:
         if (2 * ell - hs[u - 1] - hs[v - 1]) in H:
             return INCONCLUSIVE
     return NOT_WEIERSTRASS
+
+
+def pairing_obstruction(H: NumericalSemigroup) -> str:
+    """Rule H out as a Weierstrass semigroup from its exceptional gaps.
+
+    Requires last gap 2g-2i+1 with i >= 4 and the i-1 pairing-violating
+    gaps h_1 > ... > h_{i-1}: the gaps strictly between g-i and the last
+    gap whose mirror last_gap - h is also a gap.  If
+    h_1 + h_{i-1} > 2 h_2, and 2*last_gap - h_u - h_v is a gap for every
+    pair on the two descending sum chains (h_1 against everything, then
+    the consecutive chain among h_2, ..., h_{i-1}), the pairwise sumset
+    overshoots its bound by at least 2i-2 and H cannot be a Weierstrass
+    semigroup.  Returns "not_weierstrass" or "inconclusive"; raises
+    WrongShape on any other shape.
+
+    The gap condition is checked literally; when a chain sum equals
+    last_gap plus an exceptional gap it can hold even though that sum is
+    already inside the guaranteed baseline, so callers wanting the count
+    certified should cross-check gap_sum_profile(H, 2).
+    """
+    verdict = _pairing_verdict(H)
+    if verdict is None:
+        raise WrongShape("need last gap 2g-2i+1 with i >= 4 and i-1 exceptional gaps")
+    return verdict
+
+
+def pairing_rules_out(H: NumericalSemigroup) -> bool:
+    """``pairing_obstruction(H) == "not_weierstrass"``, and False where it
+    would raise WrongShape, without raising."""
+    return _pairing_verdict(H) == NOT_WEIERSTRASS

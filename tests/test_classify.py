@@ -1,13 +1,17 @@
 """Type-(N, gamma) verdicts, forced-structure checks, symmetry, projection."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgp.classify
 from sgp.classify import (TypeVerdict, arithmetic_cover_criterion,
                           exclusive_types, is_prime, is_type_by_genus,
                           is_type_by_tail, leading_gcd, natural_gamma_fit,
                           project_by_n, symmetry_profile, tail_structure,
-                          type_verdict)
+                          type_test, type_verdict)
 from sgp.core import NumericalSemigroup, from_gaps, from_generators, natural_gamma
 from sgp.errors import ClaimFailed, GenusZero, NotPrime, PreconditionViolated
 
@@ -38,6 +42,75 @@ def test_type_verdict_consistency(by_genus):
                     if v.is_type:
                         assert H.element_at(gamma) == 2 * n * gamma
                         assert natural_gamma(H, n) == gamma
+
+
+def conditions_by_definition(H, N, gamma):
+    """The literal definition, one membership test per multiple of N."""
+    multiples = sum(1 for k in range(1, 2 * gamma + 1) if k * N in H)
+    return (multiples == gamma, H.element_at(gamma) == 2 * N * gamma,
+            (2 * gamma + 1) * N in H)
+
+
+def verdict_by_definition(H, N, gamma):
+    cond_a, cond_b, cond_c = conditions_by_definition(H, N, gamma)
+    return TypeVerdict(N, gamma, cond_a, cond_b, cond_c,
+                       cond_a and cond_b and cond_c, natural_gamma(H, N))
+
+
+def test_type_conditions_match_definition_exhaustive(by_genus):
+    # gamma runs past the genus, so (b) and (c) are also read above the
+    # conductor; each condition is compared on its own
+    tests = {(N, gamma): type_test(N, gamma)
+             for N in range(1, 13) for gamma in range(9)}
+    matched = 0
+    for g in range(14):
+        for H in by_genus(g):
+            gamma_n = {N: natural_gamma(H, N) for N in range(1, 13)}
+            for (N, gamma), is_type in tests.items():
+                want = conditions_by_definition(H, N, gamma)
+                v = type_verdict(H, N, gamma)
+                assert (v.cond_a, v.cond_b, v.cond_c) == want, (H.gaps, N, gamma)
+                assert v.is_type == is_type(H) == all(want), (H.gaps, N, gamma)
+                assert (v.N, v.gamma, v.gamma_n) == (N, gamma, gamma_n[N])
+                matched += v.is_type
+    assert matched > 0
+
+
+@st.composite
+def type_cases(draw):
+    gens = draw(st.lists(st.integers(2, 60), min_size=1, max_size=4))
+    if math.gcd(*gens) != 1:
+        gens.append(draw(st.sampled_from(gens)) + 1)
+    H = from_generators(gens)
+    N = draw(st.integers(1, 12))
+    # (2*gamma + 1) * N within a few multiples of N of the conductor
+    gamma = max(0, (H.conductor // N - 1) // 2 + draw(st.integers(-2, 2)))
+    return H, N, gamma
+
+
+@given(type_cases())
+@settings(max_examples=200, deadline=None)
+def test_type_conditions_match_definition_generated(case):
+    H, N, gamma = case
+    want = verdict_by_definition(H, N, gamma)
+    assert type_verdict(H, N, gamma) == want
+    assert type_test(N, gamma)(H) == want.is_type
+
+
+def test_type_test_widens_its_mask():
+    # elements 0, 42, 44, ..., 80 and everything from 81 on: type (2, 20),
+    # conductor 80, past the initial 64-bit mask; without 80 (b) fails
+    H = from_generators([*range(42, 81, 2), *range(81, 123)])
+    near = from_generators([*range(42, 80, 2), *range(81, 123)])
+    small = from_generators([2, 41])
+    is_type = type_test(2, 20)
+    assert [is_type(K) for K in (small, H, near, small)] == [False, True, False, False]
+    for K in (small, H, near):
+        assert is_type(K) == verdict_by_definition(K, 2, 20).is_type
+    with pytest.raises(ValueError):
+        type_test(0, 1)
+    with pytest.raises(ValueError):
+        type_test(2, -1)
 
 
 def test_tail_structure():

@@ -263,6 +263,50 @@ def test_scan_bad_predicate_parameters_fail_before_pool(capsys, monkeypatch):
     assert pools == []
 
 
+def test_huge_gamma_and_N_answer_at_once(capsys):
+    # <2, 3> has the single gap 1.  With N = 2, gamma = 3*10^7 all 6*10^7
+    # multiples 2k are elements (so (a) counts 6*10^7, not gamma), the
+    # gamma-th element is gamma + 1, not 2N*gamma, and (2*gamma + 1)N is an
+    # element; no gap is even, so gamma_N = 0
+    code, out, _ = invoke(capsys, "classify", "gens:2,3", "--N", "2",
+                          "--gamma", "30000000")
+    assert code == 0
+    assert json.loads(out) == {"N": 2, "gamma": 30000000, "cond_a": False,
+                               "cond_b": False, "cond_c": True,
+                               "is_type": False, "gamma_N": 0}
+    # N = 10^9 is an element, so gamma_N = 0 and type (N, 0) holds; at
+    # gamma = 1 both N and 2N are elements and the first element is 2
+    code, out, _ = invoke(capsys, "classify", "gens:2,3", "--N", "1000000000")
+    assert json.loads(out) == {"N": 10**9, "gamma": 0, "cond_a": True,
+                               "cond_b": True, "cond_c": True,
+                               "is_type": True, "gamma_N": 0}
+    code, out, _ = invoke(capsys, "classify", "gens:2,3", "--N", "1000000000",
+                          "--gamma", "1")
+    assert json.loads(out) == {"N": 10**9, "gamma": 1, "cond_a": False,
+                               "cond_b": False, "cond_c": True,
+                               "is_type": False, "gamma_N": 0}
+    # the naturals and <2, 3> both count 2*gamma element multiples
+    code, out, _ = invoke(capsys, "scan", "--genus", "0..1",
+                          "--predicate", "type:2,30000000")
+    assert code == 0
+    assert json.loads(out) == {"summary": True, "predicate": "type:2,30000000",
+                               "genus": [0, 1], "scanned": 2, "matched": 0}
+    # every semigroup of genus <= 3 contains 10^9, so all 8 are of type (10^9, 0)
+    code, out, _ = invoke(capsys, "scan", "--genus", "0..3",
+                          "--predicate", "type:1000000000,0")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["matched"] == 8
+
+
+def test_serial_scan_does_not_load_multiprocessing():
+    code = ("import sys; from sgp.cli import run; "
+            "run(['scan', '--genus', '0..4', '--predicate', 'symmetric']); "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_obstruct_sumset_cap(capsys):
     code, out, err = invoke(capsys, "obstruct", "gens:3,4", "--n", "10000000")
     assert code == 2 and err == ""

@@ -219,6 +219,8 @@ def _assert_children_match_constructor(H):
                       "_member_bits", "_small_elements"):
             assert getattr(kid, field) == getattr(ref, field), (H.gaps, x, field)
         assert kid.min_generators == ref.min_generators, (H.gaps, x)
+        assert kid._small_elements == tuple(
+            k for k in range(kid.conductor) if k in kid), (H.gaps, x)
 
 
 def test_tree_children_match_constructor_exhaustive():
@@ -254,6 +256,30 @@ def test_tree_children_of_ordinary_semigroups():
         H = NumericalSemigroup(range(1, m))
         assert H.min_generators[0] == m > H.frobenius
         _assert_children_match_constructor(H)
+
+
+def test_walk_derives_generators_only_where_read(monkeypatch):
+    # a walk to genus 12 expands the nodes of genus < 12 and reads nothing
+    # else: generators are derived for exactly those (the root computes its
+    # own), and no node decodes its small elements
+    derived = []
+    original = NumericalSemigroup._derive_min_generators
+
+    def counting(self):
+        derived.append(self.gaps)
+        return original(self)
+
+    monkeypatch.setattr(NumericalSemigroup, "_derive_min_generators", counting)
+    nodes = list(descendants(NumericalSemigroup(), 12))
+    expanded = [H.gaps for H in nodes if 0 < H.genus < 12]
+    assert len(nodes) == sum((1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592))
+    assert sorted(derived) == sorted(expanded)
+    assert all(H._small is None for H in nodes)
+    assert all(H._min_gens is None for H in nodes if H.genus == 12)
+    # an emitted leaf derives its generators on access
+    leaf = next(H for H in nodes if H.genus == 12)
+    assert leaf.min_generators == NumericalSemigroup(leaf.gaps).min_generators
+    assert len(derived) == len(expanded) + 1 and derived[-1] == leaf.gaps
 
 
 def test_walk_matches_a007323_through_genus_20():

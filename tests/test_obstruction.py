@@ -12,7 +12,8 @@ from sgp.core import (SUMSET_CACHED_LEVELS, NumericalSemigroup, descendants,
 from sgp.errors import CapExceeded, GenusTooSmall, WrongShape
 from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS,
                              conjectured_gap_sums, fails_bc, gap_sum_profile,
-                             pair_sum_extras, pairing_obstruction)
+                             pair_sum_extras, pairing_obstruction,
+                             pairing_rules_out)
 
 BUCHWEITZ_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
 
@@ -264,3 +265,44 @@ def test_pairing_implies_bound_failure_when_sums_are_extra(by_genus):
                 assert p.excess >= 2 * i - 3
     # exactly one collision shape exists below genus 13
     assert disagreements == [tuple(range(1, 9)) + (13, 14, 16, 17)]
+
+
+def pairing_by_profile(H):
+    """pairing_obstruction as it read the exceptional gaps from
+    symmetry_profile, before they came from the bitset."""
+    from sgp.classify import symmetry_profile
+
+    g = H.genus
+    ell = H.frobenius
+    if g == 0 or ell % 2 == 0:
+        raise WrongShape("last gap must be odd")
+    i = (2 * g + 1 - ell) // 2
+    if i < 4:
+        raise WrongShape("need i >= 4")
+    hs = tuple(h for h in symmetry_profile(H).exceptional_gaps if h > g - i)
+    if len(hs) != i - 1:
+        raise WrongShape("wrong count of exceptional gaps")
+    if not hs[0] + hs[-1] > 2 * hs[1]:
+        return INCONCLUSIVE
+    for u, v in _chain_pairs(i):
+        if (2 * ell - hs[u - 1] - hs[v - 1]) in H:
+            return INCONCLUSIVE
+    return NOT_WEIERSTRASS
+
+
+def _verdict_or_shape(fn, H):
+    try:
+        return fn(H)
+    except WrongShape:
+        return WrongShape
+
+
+def test_pairing_obstruction_matches_profile_version_exhaustive():
+    seen = {INCONCLUSIVE: 0, NOT_WEIERSTRASS: 0, WrongShape: 0}
+    for H in descendants(NumericalSemigroup(), 15):
+        want = _verdict_or_shape(pairing_by_profile, H)
+        assert _verdict_or_shape(pairing_obstruction, H) == want, H.gaps
+        assert pairing_rules_out(H) == (want == NOT_WEIERSTRASS), H.gaps
+        seen[want] += 1
+    # every outcome occurs, so the comparison is not vacuous
+    assert min(seen.values()) > 0
