@@ -24,8 +24,8 @@ from .families import (Claim, FamilyResult, buchweitz_family, cover_family,
                        superelliptic_extremal, superelliptic_sharp,
                        superelliptic_spurious)
 from .obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, ConjecturedSums,
-                          GapSumProfile, conjectured_gap_sums, fails_bc,
-                          gap_sum_profile, pair_sum_extras,
+                          GapSumProfile, bc_test, conjectured_gap_sums,
+                          fails_bc, gap_sum_profile, pair_sum_extras,
                           pairing_obstruction, pairing_rules_out)
 
 __version__ = "0.1.0"

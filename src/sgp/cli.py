@@ -21,7 +21,7 @@ from .classify import project_by_n, type_test, type_verdict
 from .core import (DEFAULT_GENUS_CAP, NumericalSemigroup, descendants,
                    format_semigroup, natural_gamma, parse_semigroup)
 from .errors import CapExceeded, SemigroupError, UnknownPredicate
-from .obstruction import (fails_bc, gap_sum_profile, pair_sum_extras,
+from .obstruction import (bc_test, gap_sum_profile, pair_sum_extras,
                           pairing_rules_out)
 
 GAP_LIST_CAP = 512
@@ -288,9 +288,7 @@ def _predicate_fn(spec: str, n: int):
             raise UnknownPredicate(f"bad type predicate {spec!r}")
         return type_test(type_n, type_gamma)
     if spec == "bc_fail":
-        if n < 2:
-            raise ValueError("need n >= 2")
-        return lambda H: H.genus >= 2 and fails_bc(H, n)
+        return bc_test(n)
     if spec == "symmetric":
         return lambda H: H.genus >= 1 and H.frobenius == 2 * H.genus - 1
     if spec == "quasi_symmetric":

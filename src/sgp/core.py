@@ -28,12 +28,14 @@ class NumericalSemigroup:
     Instances are immutable values: equality and hashing go by the gap
     tuple.  The constructor validates closure of the complement and raises
     NotASemigroup(a, b) with a concrete witness when two elements sum to
-    a listed gap.  Tree children skip that sieve: ``_child`` proves their
-    closure with an O(k) guard on the removed generator.  The elements
-    below the conductor, the minimal generators and the n-fold gap sumsets
-    are derived on first use and cached, so a node pays only for what is
-    read of it; tree children derive their generators and carry their
-    sumsets from the parent's.
+    a listed gap.  Tree children skip that sieve: ``_children`` builds all
+    of a node's children in one pass over its fields, from its minimal
+    generators above the Frobenius number, whose removal keeps closure;
+    ``_child`` checks that O(k) guard on one removed element first.  The
+    elements below the conductor, the minimal generators and the n-fold
+    gap sumsets are derived on first use and cached, so a node pays only
+    for what is read of it; tree children derive their generators and
+    carry their sumsets from the parent's.
     """
 
     __slots__ = ("gaps", "genus", "frobenius", "conductor", "_member_bits",
@@ -175,46 +177,71 @@ class NumericalSemigroup:
         return acc
 
     def _child(self, x: int) -> NumericalSemigroup:
-        """H minus the minimal generator x > frobenius, built from H's fields.
+        """H minus the minimal generator x > frobenius, built by ``_children``.
 
         H minus x is closed exactly when x is not a sum of two nonzero
         elements, that is, when x is a minimal generator, so that guard
-        replaces the constructor's closure sieve.  The child keeps H's
-        generators and x, and derives its own on first access
-        (``_derive_min_generators``); a walk reads them only on the nodes
-        it expands or emits.  Cached gap sumsets S_1 .. S_k carry over as
-        S_j' = S_j | (S_{j-1}' << x), with S_0' = {0}.
+        replaces the constructor's closure sieve: x at or below the
+        Frobenius number raises PreconditionViolated, and any other x that
+        is not a minimal generator raises NotASemigroup with the witness
+        the constructor would report.
         """
         if x <= max(self.frobenius, 0):
             raise PreconditionViolated(
                 f"removed element {x} must be positive and above the "
                 f"Frobenius number {self.frobenius}")
-        gens = self.min_generators
-        if x not in gens:
+        if x not in self.min_generators:
             # x is an element above the Frobenius number, so it splits
             a = next(a for a in range(1, x // 2 + 1) if a in self and x - a in self)
             raise NotASemigroup(a, x - a)
-        child = NumericalSemigroup.__new__(NumericalSemigroup)
-        c = self.conductor
-        child.gaps = self.gaps + (x,)
-        child.genus = self.genus + 1
-        child.frobenius = x
-        child.conductor = x + 1
-        mask = (1 << (x + 2)) - 1
-        child._member_bits = (self._member_bits | (mask ^ ((1 << c) - 1))) & ~(1 << x)
-        child._small = None
-        child._min_gens = None
-        child._gens_from = (gens, x)
+        return self._children((x,))[0]
+
+    def _children(self, removed: Iterable[int]) -> list[NumericalSemigroup]:
+        """H minus x for each x in ``removed`` above the Frobenius number,
+        in one pass over H's fields.
+
+        Each such x must be a minimal generator: ``_child`` checks that, and
+        ``tree_children`` passes H's minimal generators.  H's generators,
+        gaps, bits and sumsets are read once for all the children.  A child
+        keeps H's generators and x, and derives its own on first access
+        (``_derive_min_generators``); a walk reads them only on the nodes
+        it expands or emits.  Cached gap sumsets S_1 .. S_k carry over as
+        S_j' = S_j | (S_{j-1}' << x), with S_0' = {0}.
+        """
+        gens = self.min_generators
+        f = self.frobenius
+        gaps = self.gaps
+        genus = self.genus + 1
         sums = self._sumsets
-        if sums:
-            carried = []
-            prev = 1
-            for s in sums:
-                prev = s | (prev << x)
-                carried.append(prev)
-            sums = tuple(carried)
-        child._sumsets = sums
-        return child
+        c = 1 << self.conductor
+        # the members below the conductor, less the bit at the conductor:
+        # adding 3 << x sets the conductor .. x + 1, all but x
+        low = (self._member_bits ^ c) - c
+        new = object.__new__
+        kids = []
+        for x in removed:
+            if x <= f:
+                continue
+            child = new(NumericalSemigroup)
+            child.gaps = gaps + (x,)
+            child.genus = genus
+            child.frobenius = x
+            child.conductor = x + 1
+            child._member_bits = low + (3 << x)
+            child._small = None
+            child._min_gens = None
+            child._gens_from = (gens, x)
+            if sums:
+                carried = []
+                prev = 1
+                for s in sums:
+                    prev = s | (prev << x)
+                    carried.append(prev)
+                child._sumsets = tuple(carried)
+            else:
+                child._sumsets = sums
+            kids.append(child)
+        return kids
 
     def _derive_min_generators(self) -> tuple[int, ...]:
         """A tree child's minimal generators from its parent's.
@@ -325,8 +352,9 @@ def apery_profile(H: NumericalSemigroup, m: int) -> AperyProfile:
 
 def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
     """Children in the genus tree: remove one minimal generator beyond the
-    Frobenius number, in ascending order of the removed generator."""
-    return [H._child(m) for m in H.min_generators if m > H.frobenius]
+    Frobenius number, in ascending order of the removed generator.  All of
+    them are built in one pass by ``H._children``."""
+    return H._children(H.min_generators)
 
 
 def descendants(H: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigroup]:

@@ -13,6 +13,7 @@ obstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import NumericalSemigroup, _bit_positions
 from .errors import CapExceeded, GenusTooSmall, WrongShape
@@ -61,9 +62,30 @@ def _bc_bound(H: NumericalSemigroup, n: int) -> int:
 
 def fails_bc(H: NumericalSemigroup, n: int) -> bool:
     """``not gap_sum_profile(H, n).passes_bc``, from the popcount of the
-    sumset bits instead of a decode of every sum."""
+    sumset bits instead of a decode of every sum.
+
+    Raises ValueError for n < 2 and GenusTooSmall below genus 2; a scan
+    over many semigroups uses ``bc_test(n)`` instead.
+    """
     bound = _bc_bound(H, n)
     return _sumset_bits(H, n).bit_count() > bound
+
+
+def bc_test(n: int) -> Callable[[NumericalSemigroup], bool]:
+    """``lambda H: H.genus >= 2 and fails_bc(H, n)`` for many semigroups.
+
+    n is checked once, here, with fails_bc's ValueError; each call then
+    compares the popcount of the capped sumset with (2n-1)(g-1).
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    k = 2 * n - 1
+
+    def fails(H: NumericalSemigroup) -> bool:
+        g = H.genus
+        return g >= 2 and _sumset_bits(H, n).bit_count() > k * (g - 1)
+
+    return fails
 
 
 def gap_sum_profile(H: NumericalSemigroup, n: int) -> GapSumProfile:

@@ -258,6 +258,41 @@ def test_tree_children_of_ordinary_semigroups():
         _assert_children_match_constructor(H)
 
 
+def _child_reference(H, x):
+    """The fields of H minus x, each set from H's fields one child at a
+    time, as before the one-pass builder: the oracle for ``_children``."""
+    c = H.conductor
+    mask = (1 << (x + 2)) - 1
+    prev, carried = 1, []
+    for s in H._sumsets:
+        prev = s | (prev << x)
+        carried.append(prev)
+    return {"gaps": H.gaps + (x,), "genus": H.genus + 1, "frobenius": x,
+            "conductor": x + 1,
+            "_member_bits": (H._member_bits | (mask ^ ((1 << c) - 1))) & ~(1 << x),
+            "_gens_from": (H.min_generators, x), "_sumsets": tuple(carried)}
+
+
+def test_children_builder_matches_child_exhaustive():
+    # every node first with no sumsets, then with levels 1 .. 3 filled, so
+    # the builder's empty path and its carried path both run everywhere
+    for H in list(descendants(NumericalSemigroup(), 13)):
+        for levels in (0, 3):
+            if levels:
+                H._sumset(levels)
+            assert len(H._sumsets) == levels
+            removed = [x for x in H.min_generators if x > H.frobenius]
+            kids = tree_children(H)
+            assert len(kids) == len(removed)
+            for x, kid in zip(removed, kids):
+                one = H._child(x)
+                ref = _child_reference(H, x)
+                for field, value in ref.items():
+                    assert getattr(one, field) == getattr(kid, field) == value, \
+                        (H.gaps, levels, x, field)
+                assert one.min_generators == kid.min_generators, (H.gaps, x)
+
+
 def test_walk_derives_generators_only_where_read(monkeypatch):
     # a walk to genus 12 expands the nodes of genus < 12 and reads nothing
     # else: generators are derived for exactly those (the root computes its

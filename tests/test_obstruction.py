@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sgp.core import (SUMSET_CACHED_LEVELS, NumericalSemigroup, descendants,
                       from_gaps, from_generators)
 from sgp.errors import CapExceeded, GenusTooSmall, WrongShape
-from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS,
+from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, bc_test,
                              conjectured_gap_sums, fails_bc, gap_sum_profile,
                              pair_sum_extras, pairing_obstruction,
                              pairing_rules_out)
@@ -55,6 +55,8 @@ def test_profile_guards():
         fails_bc(from_generators([2, 3]), 2)
     with pytest.raises(ValueError):
         fails_bc(from_generators([2, 5]), 1)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        bc_test(1)
 
 
 def test_sumset_width_cap(monkeypatch):
@@ -67,8 +69,10 @@ def test_sumset_width_cap(monkeypatch):
     monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", 15)
     assert gap_sum_profile(H, 3).cardinality == len(brute_sums(H.gaps, 3))
     assert fails_bc(H, 3) is False
+    assert bc_test(3)(H) is False
     assert conjectured_gap_sums(H, 3).values == tuple(range(3, 13)) + (15,)
-    for check in (gap_sum_profile, fails_bc, conjectured_gap_sums):
+    for check in (gap_sum_profile, fails_bc, conjectured_gap_sums,
+                  lambda H, n: bc_test(n)(H)):
         with pytest.raises(CapExceeded, match="n \\* frobenius = 20 exceeds cap 15"):
             check(H, 4)
 
@@ -119,6 +123,24 @@ def test_sumset_cache_keeps_few_levels():
     kid = H._child(4)
     assert len(kid._sumsets) == SUMSET_CACHED_LEVELS
     assert gap_sum_profile(kid, n).sums == tuple(brute_sums(kid.gaps, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bc_test_matches_fails_bc_exhaustive(n):
+    test = bc_test(n)
+    for H in descendants(NumericalSemigroup(), 13):
+        if H.genus >= 3:
+            # the test ran on H's parent, so H carries its sumsets
+            assert len(H._sumsets) >= n, H.gaps
+        expected = H.genus >= 2 and fails_bc(NumericalSemigroup(H.gaps), n)
+        assert test(NumericalSemigroup(H.gaps)) == test(H) == expected, (H.gaps, n)
+
+
+def test_bc_test_at_buchweitz_example():
+    # #G_2 = 46 against the bound 3 * 15 = 45, while #G_3 and #G_4 pass
+    H = from_gaps(BUCHWEITZ_GAPS)
+    assert [bc_test(n)(H) for n in (2, 3, 4)] == [True, False, False]
+    assert [fails_bc(H, n) for n in (2, 3, 4)] == [True, False, False]
 
 
 def test_fails_bc_matches_profile(by_genus):
