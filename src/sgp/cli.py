@@ -29,8 +29,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
-PREDICATES = ("bc_fail", "symmetric", "quasi_symmetric", "obstruction")
-
 
 def ProcessPoolExecutor(max_workers: int):
     """concurrent.futures.ProcessPoolExecutor, imported on first call, so a
@@ -163,23 +161,26 @@ def _cmd_classify(args) -> dict[str, Any]:
     return _verdict_json(H, args.N, gamma)
 
 
+def _bound_ints(tokens: list[str]) -> list[int]:
+    try:
+        return [int(a) for a in tokens]
+    except ValueError:
+        raise _UsageError("bound arguments must be integers")
+
+
 def _cmd_bounds(args) -> dict[str, Any]:
     name = args.name
     if name == "coprime_lower":
         if len(args.args) != 2:
             raise _UsageError("coprime_lower takes a semigroup spec and N")
         H = parse_semigroup(args.args[0])
-        n = int(args.args[1])
+        n, = _bound_ints(args.args[1:])
         value = bounds_mod.coprime_lower_bound(H, n)  # re-checks every element
         report = bounds_mod.BoundReport("coprime_lower",
                                         (H.genus, natural_gamma(H, n), n), value,
                                         hypothesis_met=True)
     else:
-        try:
-            int_args = [int(a) for a in args.args]
-        except ValueError:
-            raise _UsageError("bound arguments must be integers")
-        report = bounds_mod.evaluate(name, int_args)
+        report = bounds_mod.evaluate(name, _bound_ints(args.args))
     return {"name": report.name, "arguments": list(report.arguments),
             "value": report.value, "hypothesis_met": report.hypothesis_met}
 
@@ -228,7 +229,8 @@ def _cmd_family(args) -> dict[str, Any]:
         n = _int_param(params, "N")
         g = _int_param(params, "g")
         f = _int_param(params, "f")
-        if args.bump_g and (2 * g - f) % n == 0:
+        # N = 0 divides nothing here; cover_family rejects it as not prime
+        if args.bump_g and n and (2 * g - f) % n == 0:
             g += 1
         result = families_mod.cover_family(htilde, n, g, f)
     elif name == "sharp":

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
-                     NotASemigroup, PreconditionViolated)
+                     NotASemigroup)
 
 DEFAULT_GENUS_CAP = 25
+# widest window from_generators sieves: Schur's bound (a_1 - 1)(a_j - 1)
+GENERATOR_WINDOW_CAP = 10**7
 # gap sumset levels S_1 .. S_k a semigroup keeps and hands to its tree
 # children; all k levels take O(k^2 * frobenius) bits
 SUMSET_CACHED_LEVELS = 8
@@ -28,10 +30,9 @@ class NumericalSemigroup:
     Instances are immutable values: equality and hashing go by the gap
     tuple.  The constructor validates closure of the complement and raises
     NotASemigroup(a, b) with a concrete witness when two elements sum to
-    a listed gap.  Tree children skip that sieve: ``_children`` builds all
-    of a node's children in one pass over its fields, from its minimal
-    generators above the Frobenius number, whose removal keeps closure;
-    ``_child`` checks that O(k) guard on one removed element first.  The
+    a listed gap.  Tree children skip that sieve: ``tree_children`` builds
+    all of a node's children in one pass over its fields, from its minimal
+    generators above the Frobenius number, whose removal keeps closure.  The
     elements below the conductor, the minimal generators and the n-fold
     gap sumsets are derived on first use and cached, so a node pays only
     for what is read of it; tree children derive their generators and
@@ -120,10 +121,6 @@ class NumericalSemigroup:
         """Least positive element."""
         return self.element_at(1)
 
-    def elements(self, stop: int) -> list[int]:
-        """All elements strictly below ``stop``."""
-        return [n for n in range(max(stop, 0)) if n in self]
-
     @property
     def min_generators(self) -> tuple[int, ...]:
         if self._min_gens is None:
@@ -176,73 +173,6 @@ class NumericalSemigroup:
         self._sumsets = tuple(levels)
         return acc
 
-    def _child(self, x: int) -> NumericalSemigroup:
-        """H minus the minimal generator x > frobenius, built by ``_children``.
-
-        H minus x is closed exactly when x is not a sum of two nonzero
-        elements, that is, when x is a minimal generator, so that guard
-        replaces the constructor's closure sieve: x at or below the
-        Frobenius number raises PreconditionViolated, and any other x that
-        is not a minimal generator raises NotASemigroup with the witness
-        the constructor would report.
-        """
-        if x <= max(self.frobenius, 0):
-            raise PreconditionViolated(
-                f"removed element {x} must be positive and above the "
-                f"Frobenius number {self.frobenius}")
-        if x not in self.min_generators:
-            # x is an element above the Frobenius number, so it splits
-            a = next(a for a in range(1, x // 2 + 1) if a in self and x - a in self)
-            raise NotASemigroup(a, x - a)
-        return self._children((x,))[0]
-
-    def _children(self, removed: Iterable[int]) -> list[NumericalSemigroup]:
-        """H minus x for each x in ``removed`` above the Frobenius number,
-        in one pass over H's fields.
-
-        Each such x must be a minimal generator: ``_child`` checks that, and
-        ``tree_children`` passes H's minimal generators.  H's generators,
-        gaps, bits and sumsets are read once for all the children.  A child
-        keeps H's generators and x, and derives its own on first access
-        (``_derive_min_generators``); a walk reads them only on the nodes
-        it expands or emits.  Cached gap sumsets S_1 .. S_k carry over as
-        S_j' = S_j | (S_{j-1}' << x), with S_0' = {0}.
-        """
-        gens = self.min_generators
-        f = self.frobenius
-        gaps = self.gaps
-        genus = self.genus + 1
-        sums = self._sumsets
-        c = 1 << self.conductor
-        # the members below the conductor, less the bit at the conductor:
-        # adding 3 << x sets the conductor .. x + 1, all but x
-        low = (self._member_bits ^ c) - c
-        new = object.__new__
-        kids = []
-        for x in removed:
-            if x <= f:
-                continue
-            child = new(NumericalSemigroup)
-            child.gaps = gaps + (x,)
-            child.genus = genus
-            child.frobenius = x
-            child.conductor = x + 1
-            child._member_bits = low + (3 << x)
-            child._small = None
-            child._min_gens = None
-            child._gens_from = (gens, x)
-            if sums:
-                carried = []
-                prev = 1
-                for s in sums:
-                    prev = s | (prev << x)
-                    carried.append(prev)
-                child._sumsets = tuple(carried)
-            else:
-                child._sumsets = sums
-            kids.append(child)
-        return kids
-
     def _derive_min_generators(self) -> tuple[int, ...]:
         """A tree child's minimal generators from its parent's.
 
@@ -282,37 +212,32 @@ def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     """Smallest semigroup containing 0 and all of ``gens``.
 
-    Requires gcd(gens) == 1, otherwise the complement is infinite.
+    Requires gcd(gens) == 1, otherwise the complement is infinite.  Every
+    gap lies below Schur's bound (a_1 - 1)(a_j - 1), with a_1 < ... < a_j
+    the shortest prefix whose gcd is 1; a window above GENERATOR_WINDOW_CAP
+    raises CapExceeded before anything is built.
     """
     gen_list = sorted(set(gens))
     if not gen_list:
         raise EmptyInput("need at least one generator")
     if gen_list[0] < 1:
         raise ValueError("generators must be positive integers")
-    if reduce(math.gcd, gen_list) != 1:
+    gcds = list(accumulate(gen_list, math.gcd))
+    if gcds[-1] != 1:
         raise GcdNotOne(f"gcd of {gen_list} is not 1")
-    if gen_list[0] == 1:
-        return NumericalSemigroup(())
-    m1 = gen_list[0]
-    bound = 4 * gen_list[-1]
-    while True:
-        reachable = bytearray(bound + 1)
-        reachable[0] = 1
-        for n in range(m1, bound + 1):
-            for a in gen_list:
-                if a > n:
-                    break
-                if reachable[n - a]:
-                    reachable[n] = 1
-                    break
-        frobenius = max((n for n in range(1, bound + 1) if not reachable[n]),
-                        default=0)
-        if frobenius + m1 <= bound:
-            # a full run of m1 members follows the last gap, so the sieve
-            # window provably saw every gap
-            return NumericalSemigroup(
-                n for n in range(1, frobenius + 1) if not reachable[n])
-        bound *= 2
+    window = (gen_list[0] - 1) * (gen_list[gcds.index(1)] - 1)
+    if window > GENERATOR_WINDOW_CAP:
+        raise CapExceeded(f"generator window (a_1 - 1)(a_j - 1) = {window} "
+                          f"exceeds cap {GENERATOR_WINDOW_CAP}")
+    mask = (1 << window) - 1
+    bits = 1
+    for a in gen_list:
+        # shift-ors by a, 2a, 4a, ... add every multiple of a in the window
+        s = a
+        while s < window:
+            bits |= (bits << s) & mask
+            s *= 2
+    return NumericalSemigroup(_bit_positions(mask & ~bits))
 
 
 def natural_gamma(H: NumericalSemigroup, n: int) -> int:
@@ -351,10 +276,51 @@ def apery_profile(H: NumericalSemigroup, m: int) -> AperyProfile:
 
 
 def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
-    """Children in the genus tree: remove one minimal generator beyond the
-    Frobenius number, in ascending order of the removed generator.  All of
-    them are built in one pass by ``H._children``."""
-    return H._children(H.min_generators)
+    """Children in the genus tree: H minus x for each minimal generator x
+    beyond the Frobenius number, in ascending order of x, built in one pass
+    over H's fields.
+
+    Removing a minimal generator keeps closure, so no child runs the
+    constructor's sieve.  H's generators, gaps, bits and sumsets are read
+    once for all the children.  A child keeps H's generators and x, and
+    derives its own on first access (``_derive_min_generators``); a walk
+    reads them only on the nodes it expands or emits.  Cached gap sumsets
+    S_1 .. S_k carry over as S_j' = S_j | (S_{j-1}' << x), with S_0' = {0}.
+    """
+    gens = H.min_generators
+    f = H.frobenius
+    gaps = H.gaps
+    genus = H.genus + 1
+    sums = H._sumsets
+    c = 1 << H.conductor
+    # the members below the conductor, less the bit at the conductor:
+    # adding 3 << x sets the conductor .. x + 1, all but x
+    low = (H._member_bits ^ c) - c
+    new = object.__new__
+    kids = []
+    for x in gens:
+        if x <= f:
+            continue
+        child = new(NumericalSemigroup)
+        child.gaps = gaps + (x,)
+        child.genus = genus
+        child.frobenius = x
+        child.conductor = x + 1
+        child._member_bits = low + (3 << x)
+        child._small = None
+        child._min_gens = None
+        child._gens_from = (gens, x)
+        if sums:
+            carried = []
+            prev = 1
+            for s in sums:
+                prev = s | (prev << x)
+                carried.append(prev)
+            child._sumsets = tuple(carried)
+        else:
+            child._sumsets = sums
+        kids.append(child)
+    return kids
 
 
 def descendants(H: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigroup]:

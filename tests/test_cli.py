@@ -77,6 +77,25 @@ def test_bounds_eval(capsys):
     assert payload["hypothesis_met"] is True
 
 
+def test_bounds_eval_rejects_non_integer_arguments(capsys):
+    for argv in (["rho3", "x", "1"], ["coprime_lower", "gens:2,3", "x"]):
+        code, out, err = invoke(capsys, "bounds", "eval", *argv)
+        assert code == 64 and out == "", argv
+        assert json.loads(err)["error"] == {
+            "name": "Usage", "message": "bound arguments must be integers"}, argv
+
+
+def test_info_generator_window(capsys):
+    # Schur's bound stops at the prefix <2, 3>, so the huge generator costs
+    # nothing; <100000, 100001> would sieve about 10^10 numbers
+    code, out, _ = invoke(capsys, "info", "gens:2,3,4000000001")
+    assert code == 0
+    assert json.loads(out)["gaps"] == [1]
+    code, out, err = invoke(capsys, "info", "gens:100000,100001")
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"]["name"] == "CapExceeded"
+
+
 def test_obstruct(capsys):
     spec = "gaps:" + ",".join(map(str, list(range(1, 13)) + [19, 21, 24, 25]))
     code, out, _ = invoke(capsys, "obstruct", spec, "--n", "2", "--explain")
@@ -107,6 +126,13 @@ def test_family_cover_bump_g(capsys):
     code, out, _ = invoke(capsys, *args, "--bump-g")
     assert code == 0
     assert json.loads(out)["params"]["g"] == 27
+    # N = 0 is rejected as not prime with or without --bump-g
+    args = ["family", "cover", "--params", "htilde=gens:2,3", "N=0", "g=10", "f=1"]
+    plain = invoke(capsys, *args)
+    assert invoke(capsys, *args, "--bump-g") == plain
+    code, out, err = plain
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == {"name": "NotPrime", "message": "0 is not prime"}
 
 
 def test_family_emit_gens(capsys):

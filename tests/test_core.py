@@ -1,18 +1,20 @@
 """Core representation: construction, indexing, Apery data, enumeration."""
 
 import math
+from functools import reduce
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgp.core
 from sgp.core import (NumericalSemigroup, apery_profile, descendants,
                       enumerate_genus_range, format_semigroup, from_gaps,
                       from_generators, natural_gamma, parse_semigroup,
                       tree_children)
 from sgp.errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
-                        NotASemigroup, PreconditionViolated)
+                        NotASemigroup, SemigroupError)
 
 
 def sieve_elements(gens, bound):
@@ -52,6 +54,77 @@ def test_from_generators_errors():
         from_generators([4, 6])
     with pytest.raises(ValueError):
         from_generators([0, 3])
+
+
+def sieve_from_generators(gens):
+    """from_generators as a per-number sieve over a window that doubles
+    until a full run of a_1 members follows the last gap: the oracle for
+    the shift-or build inside Schur's bound, error messages included."""
+    gen_list = sorted(set(gens))
+    if not gen_list:
+        raise EmptyInput("need at least one generator")
+    if gen_list[0] < 1:
+        raise ValueError("generators must be positive integers")
+    if reduce(math.gcd, gen_list) != 1:
+        raise GcdNotOne(f"gcd of {gen_list} is not 1")
+    if gen_list[0] == 1:
+        return NumericalSemigroup(())
+    m1 = gen_list[0]
+    bound = 4 * gen_list[-1]
+    while True:
+        reachable = bytearray(bound + 1)
+        reachable[0] = 1
+        for n in range(m1, bound + 1):
+            for a in gen_list:
+                if a > n:
+                    break
+                if reachable[n - a]:
+                    reachable[n] = 1
+                    break
+        frobenius = max((n for n in range(1, bound + 1) if not reachable[n]),
+                        default=0)
+        if frobenius + m1 <= bound:
+            return NumericalSemigroup(
+                n for n in range(1, frobenius + 1) if not reachable[n])
+        bound *= 2
+
+
+def _build_outcome(build, gens):
+    """The gaps ``build`` gives, or the type and message of its error."""
+    try:
+        return build(gens).gaps
+    except (SemigroupError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_from_generators_matches_sieve_exhaustive():
+    # every set of at most 3 generators from [1, 24], the empty set included
+    for k in range(4):
+        for gens in combinations(range(1, 25), k):
+            assert (_build_outcome(from_generators, gens)
+                    == _build_outcome(sieve_from_generators, gens)), gens
+
+
+@given(st.lists(st.integers(-1, 80), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_from_generators_matches_sieve_generated(gens):
+    assert (_build_outcome(from_generators, gens)
+            == _build_outcome(sieve_from_generators, gens))
+
+
+def test_from_generators_window_cap(monkeypatch):
+    # <4, 7> sieves below Schur's bound (4 - 1)(7 - 1) = 18; a gcd-1 prefix
+    # ends the window, so a huge generator past it costs nothing
+    monkeypatch.setattr(sgp.core, "GENERATOR_WINDOW_CAP", 18)
+    assert from_generators([4, 7]).gaps == (1, 2, 3, 5, 6, 9, 10, 13, 17)
+    assert from_generators([2, 3, 4 * 10**9 + 1]).gaps == (1,)
+    assert from_generators([4, 6, 7, 9]).gaps == (1, 2, 3, 5)
+    with pytest.raises(CapExceeded):
+        from_generators([4, 6, 8, 9])  # the prefix ends at 9: (4 - 1)(9 - 1)
+    monkeypatch.setattr(sgp.core, "GENERATOR_WINDOW_CAP", 17)
+    with pytest.raises(CapExceeded) as err:
+        from_generators([4, 7])
+    assert str(err.value) == "generator window (a_1 - 1)(a_j - 1) = 18 exceeds cap 17"
 
 
 def test_from_gaps():
@@ -228,28 +301,6 @@ def test_tree_children_match_constructor_exhaustive():
         _assert_children_match_constructor(H)
 
 
-def test_child_rejects_bad_removal():
-    H = from_generators([3, 4, 5])  # frobenius 2
-    for x in (2, 1, 0, -1):
-        with pytest.raises(PreconditionViolated):
-            H._child(x)
-    with pytest.raises(PreconditionViolated):
-        NumericalSemigroup()._child(0)
-    # above the Frobenius number but not a minimal generator: the witness
-    # is the one the constructor's closure check reports
-    for x, witness in ((6, (3, 3)), (7, (3, 4))):
-        with pytest.raises(NotASemigroup) as err:
-            H._child(x)
-        assert err.value.witness == witness
-        with pytest.raises(NotASemigroup) as ref:
-            NumericalSemigroup(H.gaps + (x,))
-        assert ref.value.witness == witness
-    with pytest.raises(NotASemigroup) as err:
-        H._child(10**9)
-    assert err.value.witness == (3, 10**9 - 3)
-    assert H._child(5).gaps == (1, 2, 5)
-
-
 def test_tree_children_of_ordinary_semigroups():
     # removing x == m leaves the ordinary semigroup of multiplicity m + 1
     for m in range(1, 41):
@@ -260,7 +311,7 @@ def test_tree_children_of_ordinary_semigroups():
 
 def _child_reference(H, x):
     """The fields of H minus x, each set from H's fields one child at a
-    time, as before the one-pass builder: the oracle for ``_children``."""
+    time, as before the one-pass builder: the oracle for ``tree_children``."""
     c = H.conductor
     mask = (1 << (x + 2)) - 1
     prev, carried = 1, []
@@ -285,12 +336,11 @@ def test_children_builder_matches_child_exhaustive():
             kids = tree_children(H)
             assert len(kids) == len(removed)
             for x, kid in zip(removed, kids):
-                one = H._child(x)
                 ref = _child_reference(H, x)
                 for field, value in ref.items():
-                    assert getattr(one, field) == getattr(kid, field) == value, \
-                        (H.gaps, levels, x, field)
-                assert one.min_generators == kid.min_generators, (H.gaps, x)
+                    assert getattr(kid, field) == value, (H.gaps, levels, x, field)
+                assert (kid.min_generators
+                        == NumericalSemigroup(ref["gaps"]).min_generators), (H.gaps, x)
 
 
 def test_walk_derives_generators_only_where_read(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgp.core import (SUMSET_CACHED_LEVELS, NumericalSemigroup, descendants,
-                      from_gaps, from_generators)
+                      from_gaps, from_generators, tree_children)
 from sgp.errors import CapExceeded, GenusTooSmall, WrongShape
 from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, bc_test,
                              conjectured_gap_sums, fails_bc, gap_sum_profile,
@@ -120,7 +120,8 @@ def test_sumset_cache_keeps_few_levels():
     n = SUMSET_CACHED_LEVELS + 4
     assert gap_sum_profile(H, n).sums == tuple(brute_sums(H.gaps, n))
     assert len(H._sumsets) == SUMSET_CACHED_LEVELS
-    kid = H._child(4)
+    kid = tree_children(H)[1]
+    assert kid.gaps == (1, 2, 4)
     assert len(kid._sumsets) == SUMSET_CACHED_LEVELS
     assert gap_sum_profile(kid, n).sums == tuple(brute_sums(kid.gaps, n))
 
