@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .core import NumericalSemigroup, natural_gamma
-from .errors import ClaimFailed, DegenerateDenominator, NonIntegerRho4, NotCoprime
+from .errors import (ClaimFailed, DegenerateDenominator, NonIntegerRho4, NotCoprime,
+                     PreconditionViolated)
 
 
 def rho1(a: int, n: int, gamma: int) -> int:
@@ -124,23 +125,29 @@ class BoundReport:
     hypothesis_met: bool | None = None
 
 
+# each bound's arguments with the least value of its domain (None: any
+# integer, or the function checks it)
 _EVAL_TABLE = {
-    "rho1": (rho1, 3),
-    "rho2": (rho2, 2),
-    "rho3": (rho3, 2),
-    "rho4": (rho4, 4),
-    "rho5": (rho5, 2),
-    "castelnuovo_c": (castelnuovo_c, 2),
-    "compositum": (compositum_bound, 4),
-    "jenkins": (jenkins_bound, 2),
+    "rho1": (rho1, {"A": None, "N": 1, "gamma": 0}),
+    "rho2": (rho2, {"N": 1, "gamma": 0}),
+    "rho3": (rho3, {"N": 1, "gamma": 0}),
+    "rho4": (rho4, {"A": None, "u": 0, "N": 1, "gamma": 0}),
+    "rho5": (rho5, {"N": 1, "gamma": 0}),
+    "castelnuovo_c": (castelnuovo_c, {"d": None, "r": None}),
+    "compositum": (compositum_bound, {"N1": 1, "g1": 0, "N2": 1, "g2": 0}),
+    "jenkins": (jenkins_bound, {"m": None, "n": None}),
 }
 
 
 def evaluate(name: str, args: list[int] | tuple[int, ...]) -> BoundReport:
-    """Evaluate a named integer-argument bound into a BoundReport."""
+    """Evaluate a named integer-argument bound into a BoundReport; an
+    argument below its domain raises PreconditionViolated."""
     if name not in _EVAL_TABLE:
         raise ValueError(f"unknown bound {name!r}")
-    fn, arity = _EVAL_TABLE[name]
-    if len(args) != arity:
-        raise ValueError(f"{name} takes {arity} arguments, got {len(args)}")
+    fn, domain = _EVAL_TABLE[name]
+    if len(args) != len(domain):
+        raise ValueError(f"{name} takes {len(domain)} arguments, got {len(args)}")
+    for (arg, least), value in zip(domain.items(), args):
+        if least is not None and value < least:
+            raise PreconditionViolated(f"{name} needs {arg} >= {least}, got {value}")
     return BoundReport(name, tuple(args), fn(*args))

@@ -9,6 +9,7 @@ error on stdout), 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,16 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _genus_cap() -> int:
-    raw = os.environ.get("SGP_GENUS_CAP")
-    if raw is None:
-        return DEFAULT_GENUS_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"SGP_GENUS_CAP must be an integer, got {raw!r}")
-
-
 def _gap_list(gaps: tuple[int, ...]) -> dict[str, Any]:
     payload: dict[str, Any] = {"gaps": list(gaps[:GAP_LIST_CAP])}
     if len(gaps) > GAP_LIST_CAP:
@@ -70,12 +61,6 @@ def _semigroup_json(H: NumericalSemigroup) -> dict[str, Any]:
     out.update(_gap_list(H.gaps))
     out["min_gens"] = list(H.min_generators)
     return out
-
-
-def _verdict_json(H: NumericalSemigroup, N: int, gamma: int) -> dict[str, Any]:
-    v = type_verdict(H, N, gamma)
-    return {"N": v.N, "gamma": v.gamma, "cond_a": v.cond_a, "cond_b": v.cond_b,
-            "cond_c": v.cond_c, "is_type": v.is_type, "gamma_N": v.gamma_n}
 
 
 def _render_text(payload: Any, indent: str = "") -> str:
@@ -96,14 +81,10 @@ def _render_text(payload: Any, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def _emit(payload: Any, mode: str) -> None:
-    if mode == "json":
-        print(json.dumps(payload))
-    else:
-        print(_render_text(payload))
-
-
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: every ``run`` reuses it,
+    and each ``parse_args`` fills a fresh namespace."""
     parser = _Parser(prog="sgp", description=__doc__)
     parser.add_argument("--output", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -151,14 +132,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_info(args) -> dict[str, Any]:
-    return _semigroup_json(parse_semigroup(args.spec))
+def _cmd_info(args) -> list[dict[str, Any]]:
+    return [_semigroup_json(parse_semigroup(args.spec))]
 
 
-def _cmd_classify(args) -> dict[str, Any]:
+def _cmd_classify(args) -> list[dict[str, Any]]:
     H = parse_semigroup(args.spec)
     gamma = args.gamma if args.gamma is not None else natural_gamma(H, args.N)
-    return _verdict_json(H, args.N, gamma)
+    v = type_verdict(H, args.N, gamma)
+    return [{"N": v.N, "gamma": v.gamma, "cond_a": v.cond_a, "cond_b": v.cond_b,
+             "cond_c": v.cond_c, "is_type": v.is_type, "gamma_N": v.gamma_n}]
 
 
 def _bound_ints(tokens: list[str]) -> list[int]:
@@ -168,7 +151,7 @@ def _bound_ints(tokens: list[str]) -> list[int]:
         raise _UsageError("bound arguments must be integers")
 
 
-def _cmd_bounds(args) -> dict[str, Any]:
+def _cmd_bounds(args) -> list[dict[str, Any]]:
     name = args.name
     if name == "coprime_lower":
         if len(args.args) != 2:
@@ -181,11 +164,11 @@ def _cmd_bounds(args) -> dict[str, Any]:
                                         hypothesis_met=True)
     else:
         report = bounds_mod.evaluate(name, _bound_ints(args.args))
-    return {"name": report.name, "arguments": list(report.arguments),
-            "value": report.value, "hypothesis_met": report.hypothesis_met}
+    return [{"name": report.name, "arguments": list(report.arguments),
+             "value": report.value, "hypothesis_met": report.hypothesis_met}]
 
 
-def _cmd_obstruct(args) -> dict[str, Any]:
+def _cmd_obstruct(args) -> list[dict[str, Any]]:
     H = parse_semigroup(args.spec)
     profile = gap_sum_profile(H, args.n)
     out: dict[str, Any] = {"n": profile.n, "cardinality": profile.cardinality,
@@ -193,7 +176,7 @@ def _cmd_obstruct(args) -> dict[str, Any]:
                            "lambda": profile.excess}
     if args.explain:
         out["extra_sums"] = list(pair_sum_extras(H)) if args.n == 2 else None
-    return out
+    return [out]
 
 
 def _parse_params(tokens: list[str]) -> dict[str, str]:
@@ -215,7 +198,7 @@ def _int_param(params: dict[str, str], key: str) -> int:
         raise _UsageError(f"parameter {key} must be an integer, got {params[key]!r}")
 
 
-def _cmd_family(args) -> dict[str, Any]:
+def _cmd_family(args) -> list[dict[str, Any]]:
     params = _parse_params(args.params)
     name = args.name
     if name == "buchweitz":
@@ -233,21 +216,13 @@ def _cmd_family(args) -> dict[str, Any]:
         if args.bump_g and n and (2 * g - f) % n == 0:
             g += 1
         result = families_mod.cover_family(htilde, n, g, f)
-    elif name == "sharp":
-        result = families_mod.superelliptic_sharp(_int_param(params, "N"),
-                                                  _int_param(params, "gamma"),
-                                                  _int_param(params, "g"))
-    elif name == "extremal":
-        result = families_mod.superelliptic_extremal(_int_param(params, "N"),
-                                                     _int_param(params, "gamma"))
-    else:
-        result = families_mod.superelliptic_spurious(_int_param(params, "N"),
-                                                     _int_param(params, "gamma"),
-                                                     _int_param(params, "A"),
-                                                     _int_param(params, "t"),
-                                                     _int_param(params, "g"))
+    else:  # superelliptic_<name>, looked up on the module when called
+        keys = {"sharp": ("N", "gamma", "g"), "extremal": ("N", "gamma"),
+                "spurious": ("N", "gamma", "A", "t", "g")}[name]
+        result = getattr(families_mod, f"superelliptic_{name}")(
+            *[_int_param(params, key) for key in keys])
     H = result.semigroup
-    return {
+    return [{
         "family": result.family,
         "params": result.params,
         "semigroup": format_semigroup(H, args.emit),
@@ -257,7 +232,7 @@ def _cmd_family(args) -> dict[str, Any]:
                     "observed": _jsonable(c.observed), "holds": c.holds}
                    for c in result.claims],
         "diagnostics": {k: _jsonable(v) for k, v in result.diagnostics.items()},
-    }
+    }]
 
 
 def _jsonable(value: Any) -> Any:
@@ -314,9 +289,13 @@ def _scan_worker(payload: tuple[tuple[int, ...], int, int, str, int]):
     return scanned, rows
 
 
-def _cmd_scan(args, mode: str) -> int:
+def _cmd_scan(args) -> list[dict[str, Any]]:
     lo, hi = _parse_genus_range(args.genus)
-    cap = _genus_cap()
+    raw = os.environ.get("SGP_GENUS_CAP", str(DEFAULT_GENUS_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise _UsageError(f"SGP_GENUS_CAP must be an integer, got {raw!r}")
     if hi > cap:
         raise CapExceeded(f"genus {hi} exceeds cap {cap} (set SGP_GENUS_CAP to raise)")
     if args.parallelism < 1:
@@ -347,33 +326,33 @@ def _cmd_scan(args, mode: str) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_scan_worker, payloads))
     scanned = sum(part_scanned for part_scanned, _ in parts)
-    rows = [row for _, part_rows in parts for row in part_rows]
-    rows.sort()
-    for genus, gaps, min_gens in rows:
-        line: dict[str, Any] = {"genus": genus}
-        line.update(_gap_list(gaps))
-        line["min_gens"] = list(min_gens)
-        _emit(line, mode)
-    _emit({"summary": True, "predicate": args.predicate, "genus": [lo, hi],
-           "scanned": scanned, "matched": len(rows)}, mode)
-    return EXIT_OK
+    rows = sorted(row for _, part_rows in parts for row in part_rows)
+    out = [{"genus": genus, **_gap_list(gaps), "min_gens": list(min_gens)}
+           for genus, gaps, min_gens in rows]
+    out.append({"summary": True, "predicate": args.predicate, "genus": [lo, hi],
+                "scanned": scanned, "matched": len(rows)})
+    return out
 
 
-def _cmd_project(args) -> dict[str, Any]:
+def _cmd_project(args) -> list[dict[str, Any]]:
     H = parse_semigroup(args.spec)
     gamma = args.gamma if args.gamma is not None else natural_gamma(H, args.N)
-    return _semigroup_json(project_by_n(H, args.N, gamma))
+    return [_semigroup_json(project_by_n(H, args.N, gamma))]
+
+
+# each verb's handler returns the payloads it prints, in order
+_VERBS = {"info": _cmd_info, "classify": _cmd_classify, "bounds": _cmd_bounds,
+          "obstruct": _cmd_obstruct, "family": _cmd_family, "scan": _cmd_scan,
+          "project": _cmd_project}
 
 
 def run(argv: list[str]) -> int:
+    """Run one command line and return its exit code; safe to call many
+    times in one process."""
     try:
         args = _build_parser().parse_args(argv)
-        if args.verb == "scan":
-            return _cmd_scan(args, args.output)
-        handler = {"info": _cmd_info, "classify": _cmd_classify,
-                   "bounds": _cmd_bounds, "obstruct": _cmd_obstruct,
-                   "family": _cmd_family, "project": _cmd_project}[args.verb]
-        _emit(handler(args), args.output)
+        for payload in _VERBS[args.verb](args):
+            print(json.dumps(payload) if args.output == "json" else _render_text(payload))
         return EXIT_OK
     except (_UsageError, ValueError, SemigroupError) as exc:
         # domain errors go to stdout with exit 2; usage errors, including

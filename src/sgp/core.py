@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable, Iterator
 
 from .errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
@@ -22,6 +22,9 @@ GENERATOR_WINDOW_CAP = 10**7
 # gap sumset levels S_1 .. S_k a semigroup keeps and hands to its tree
 # children; all k levels take O(k^2 * frobenius) bits
 SUMSET_CACHED_LEVELS = 8
+# most bit-shifts, levels * genus * n * frobenius, that _sumset spends on the
+# levels it builds: 3x the largest query_mix request (n = 20, F = 4177: 3.3e9)
+SUMSET_WORK_CAP = 10**10
 
 
 class NumericalSemigroup:
@@ -64,16 +67,7 @@ class NumericalSemigroup:
 
     def _check_closure(self, gap_bits: int) -> None:
         pos = self._member_bits & ~1
-        sums = 0
-        a_bits = pos
-        while a_bits:
-            low = a_bits & -a_bits
-            a = low.bit_length() - 1
-            if 2 * a > self.frobenius:
-                break
-            a_bits ^= low
-            sums |= pos << a
-        bad = sums & gap_bits
+        bad = _pair_sums(pos, self.frobenius) & gap_bits
         if bad:
             x = (bad & -bad).bit_length() - 1
             for a in range(1, x // 2 + 1):
@@ -135,15 +129,7 @@ class NumericalSemigroup:
         bound = self.conductor + m1  # every minimal generator is < conductor + m1
         ext = self._member_bits | (((1 << (bound - self.conductor)) - 1) << self.conductor)
         pos = ext & ~1
-        sums = 0
-        a_bits = pos
-        while a_bits:
-            low = a_bits & -a_bits
-            a = low.bit_length() - 1
-            if 2 * a >= bound:
-                break
-            a_bits ^= low
-            sums |= pos << a
+        sums = _pair_sums(pos, bound - 1)
         return tuple(x for x in range(1, bound)
                      if pos >> x & 1 and not sums >> x & 1)
 
@@ -156,11 +142,16 @@ class NumericalSemigroup:
 
         S_j is built from S_{j-1} by one shift-or per gap.  The first
         SUMSET_CACHED_LEVELS levels are kept in ``_sumsets``, so a large n
-        holds no more than that many bitsets.
+        holds no more than that many bitsets.  Only the levels still to
+        build count against SUMSET_WORK_CAP, so carried ones cost nothing.
         """
         sums = self._sumsets
         if n <= len(sums):
             return sums[n - 1]
+        work = (n - max(len(sums), 1)) * self.genus * n * self.frobenius
+        if work > SUMSET_WORK_CAP:
+            raise CapExceeded(f"sumset work levels * genus * width = {work} "
+                              f"exceeds cap {SUMSET_WORK_CAP}")
         levels = list(sums) or [self._gap_bits()]
         acc = levels[-1]
         for j in range(len(levels) + 1, n + 1):
@@ -196,9 +187,28 @@ class NumericalSemigroup:
         return gens + (t,)
 
 
+def _pair_sums(pos: int, limit: int) -> int:
+    """Bitset of a + b for a, b in the bitset ``pos`` with 2a <= limit."""
+    sums = 0
+    a_bits = pos
+    while a_bits:
+        low = a_bits & -a_bits
+        a = low.bit_length() - 1
+        if 2 * a > limit:
+            break
+        a_bits ^= low
+        sums |= pos << a
+    return sums
+
+
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bit_positions(bits: int) -> tuple[int, ...]:
-    """Positions of the set bits, ascending, from one pass over bin()."""
-    return tuple(i for i, d in enumerate(reversed(bin(bits)[2:])) if d == "1")
+    """Positions of the set bits of ``bits`` >= 0, ascending: the reversed
+    bin() digits, as bytes 0 and 1, select from a range in C."""
+    flags = bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)
+    return tuple(compress(range(len(flags)), flags))
 
 
 def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:

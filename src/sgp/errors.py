@@ -38,7 +38,7 @@ class NotAnElement(SemigroupError):
 
 class CapExceeded(SemigroupError):
     """A requested size (the genus of an enumeration, the width of a gap
-    sumset) exceeds its configured cap."""
+    sumset or the work to build it) exceeds its configured cap."""
 
 
 class NotPrime(SemigroupError):

@@ -26,7 +26,7 @@ SUMSET_WIDTH_CAP = 10**6
 
 def _sumset_bits(H: NumericalSemigroup, n: int) -> int:
     """H's n-fold gap sumset as a bitset, behind the width cap that every
-    gap-sum check shares."""
+    gap-sum check shares (and the work cap of ``_sumset``)."""
     if n * H.frobenius > SUMSET_WIDTH_CAP:
         raise CapExceeded(f"sumset width n * frobenius = {n * H.frobenius} "
                           f"exceeds cap {SUMSET_WIDTH_CAP}")

@@ -10,7 +10,8 @@ from sgp.bounds import (castelnuovo_c, compositum_bound, coprime_lower_bound,
                         divisor_condition, evaluate, jenkins_bound, rho1, rho2,
                         rho3, rho4, rho4_u, rho5, total_ramification_threshold)
 from sgp.core import from_generators
-from sgp.errors import ClaimFailed, DegenerateDenominator, NotCoprime
+from sgp.errors import (ClaimFailed, DegenerateDenominator, NotCoprime,
+                        PreconditionViolated)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -157,6 +158,16 @@ def test_evaluate_reports():
         evaluate("nope", [1])
     with pytest.raises(ValueError):
         evaluate("rho3", [1, 2, 3])
+    # below the domain: degrees N >= 1, genera gamma, g >= 0, rho4's u >= 0
+    for name, args in (("rho3", [-1, -5]), ("rho3", [2, -1]), ("rho1", [3, 0, 1]),
+                       ("rho2", [0, 1]), ("rho5", [2, -1]), ("rho4", [5, -1, 5, 0]),
+                       ("compositum", [0, 0, 1, 0]), ("compositum", [1, 0, 1, -1])):
+        with pytest.raises(PreconditionViolated, match=f"^{name} needs "):
+            evaluate(name, args)
+    # the least arguments of each domain still evaluate
+    assert evaluate("compositum", [1, 0, 1, 0]).value == 0
+    assert evaluate("rho3", [1, 0]).value == 0
+    assert evaluate("rho4", [1, 0, 1, 0]).value == rho4(1, 0, 1, 0) == 0
 
 
 @given(st.integers(-50, 50), st.integers(-10, 10), st.integers(-20, 20),

@@ -334,9 +334,12 @@ def test_serial_scan_does_not_load_multiprocessing():
 
 
 def test_obstruct_sumset_cap(capsys):
-    code, out, err = invoke(capsys, "obstruct", "gens:3,4", "--n", "10000000")
-    assert code == 2 and err == ""
-    assert json.loads(out)["error"]["name"] == "CapExceeded"
+    # past the width cap, then inside it but past the work cap
+    for n, cap in (("10000000", "width"), ("40000", "work")):
+        code, out, err = invoke(capsys, "obstruct", "gens:3,4", "--n", n)
+        assert code == 2 and err == ""
+        error = json.loads(out)["error"]
+        assert error["name"] == "CapExceeded" and f"sumset {cap}" in error["message"]
 
 
 def test_scan_obstruction_predicate(capsys):
@@ -378,6 +381,8 @@ def test_exit_codes(capsys):
         (["scan", "--genus", "3", "--predicate", "mystery"], 64, "err",
          "UnknownPredicate"),
         (["info", "gens:4,6"], 2, "out", "GcdNotOne"),
+        (["bounds", "eval", "rho3", "-1", "-5"], 2, "out", "PreconditionViolated"),
+        (["bounds", "eval", "rho3", "2", "-1"], 2, "out", "PreconditionViolated"),
         (["family", "spurious", "--params", "N=2", "gamma=1", "A=3", "t=2",
           "g=16"], 2, "out", "PreconditionViolated"),
     ]
@@ -395,6 +400,36 @@ def test_text_mode_contains_all_fields(capsys):
     assert code == 0
     for key in ("N", "gamma", "cond_a", "cond_b", "cond_c", "is_type", "gamma_N"):
         assert f"{key}:" in out
+
+
+def test_parser_built_once_per_process(capsys):
+    from sgp.cli import _build_parser
+    _build_parser.cache_clear()
+    for argv in (["info", "gens:2,3"], ["classify", "gens:4,7"], ["nope"],
+                 ["info", "gens:4,6"], ["scan", "--genus", "2", "--predicate", "symmetric"]):
+        run(argv)
+    capsys.readouterr()
+    assert _build_parser.cache_info().misses == 1
+    assert _build_parser.cache_info().hits == 4
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    # after each first call in the same process, the second prints what it
+    # prints in a fresh one
+    pairs = [
+        (["classify", "gens:4,7"], 64, ["info", "gens:4,7"]),  # argparse error
+        (["--output", "text", "info", "gens:4,7"], 0, ["info", "gens:4,7"]),
+        # --params defaults to one list object that every parse shares
+        (["family", "buchweitz", "--params", "g=16", "i=4"], 0, ["family", "buchweitz"]),
+    ]
+    for first, first_code, second in pairs:
+        assert invoke(capsys, *first)[0] == first_code, first
+        got = invoke(capsys, *second)
+        fresh = subprocess.run([sys.executable, "-m", "sgp.cli", *second],
+                               capture_output=True, text=True)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), second
+    assert json.loads(got[2])["error"]["message"] == "missing family parameter g"
+    assert json.loads(invoke(capsys, "info", "gens:4,7")[1])["genus"] == 9
 
 
 def test_module_entry_point():

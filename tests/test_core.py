@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgp.core
-from sgp.core import (NumericalSemigroup, apery_profile, descendants,
-                      enumerate_genus_range, format_semigroup, from_gaps,
-                      from_generators, natural_gamma, parse_semigroup,
-                      tree_children)
+from sgp.core import (NumericalSemigroup, _bit_positions, apery_profile,
+                      descendants, enumerate_genus_range, format_semigroup,
+                      from_gaps, from_generators, natural_gamma,
+                      parse_semigroup, tree_children)
 from sgp.errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
                         NotASemigroup, SemigroupError)
 
@@ -24,6 +24,29 @@ def sieve_elements(gens, bound):
         if any(a <= n and n - a in els for a in gens):
             els.add(n)
     return els
+
+
+def _bit_positions_by_definition(bits):
+    """The set bits of bits >= 0, ascending, tested one at a time, a byte at
+    a time so that 10^5 bits take linear time."""
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    return tuple(8 * i + j for i, byte in enumerate(data) for j in range(8)
+                 if byte >> j & 1)
+
+
+def test_bit_positions_match_definition_exhaustive():
+    assert _bit_positions(0) == () == _bit_positions_by_definition(0)
+    for bits in range(1 << 12):
+        assert _bit_positions(bits) == _bit_positions_by_definition(bits), bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=12_500).map(lambda b: int.from_bytes(b, "little")),
+    st.sets(st.integers(0, 10**5 - 1), max_size=40).map(
+        lambda ps: sum(1 << p for p in ps))))
+def test_bit_positions_match_definition_generated(bits):
+    assert _bit_positions(bits) == _bit_positions_by_definition(bits)
 
 
 def test_from_generators_trivial_cases():

@@ -77,6 +77,32 @@ def test_sumset_width_cap(monkeypatch):
             check(H, 4)
 
 
+def test_sumset_work_cap(monkeypatch):
+    # the check, not the blow-up: new levels * genus * n * frobenius against
+    # the cap, before a level is built; <3, 4> has genus 3, frobenius 5
+    import sgp.core
+    monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 180)
+    H = from_generators([3, 4])
+    # levels 2..4 from scratch: 3 * 3 * 20 = 180
+    assert gap_sum_profile(H, 4).cardinality == len(brute_sums(H.gaps, 4))
+    for check in (gap_sum_profile, fails_bc, conjectured_gap_sums,
+                  lambda H, n: bc_test(n)(H)):
+        with pytest.raises(CapExceeded, match="work .* = 300 exceeds cap 180"):
+            check(NumericalSemigroup(H.gaps), 5)  # 4 * 3 * 25
+    # H keeps levels 1..4, so n = 5 builds one level: 1 * 3 * 25
+    assert gap_sum_profile(H, 5).cardinality == len(brute_sums(H.gaps, 5))
+    # a tree child carries the levels its parent kept, so it pays nothing
+    root = from_generators([3, 4, 5])
+    gap_sum_profile(root, 5)  # 4 * 2 * 10
+    monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 0)
+    children = tree_children(root)
+    assert len(children) == 3
+    for child in children:
+        assert gap_sum_profile(child, 5).sums == tuple(brute_sums(child.gaps, 5))
+        with pytest.raises(CapExceeded):
+            gap_sum_profile(NumericalSemigroup(child.gaps), 5)
+
+
 def _assert_carried_sumsets_match_fresh(root, max_genus, order):
     """Walk the tree below root and fill each node's gap sumsets, n in the
     given order, before its children are built, so every child of a filled
