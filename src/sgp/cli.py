@@ -9,9 +9,12 @@ error on stdout), 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import pickle
+import signal
 import sys
 from typing import Any
 
@@ -21,7 +24,7 @@ from . import families as families_mod
 from .classify import project_by_n, type_test, type_verdict
 from .core import (DEFAULT_GENUS_CAP, NumericalSemigroup, descendants,
                    format_semigroup, natural_gamma, parse_semigroup)
-from .errors import CapExceeded, SemigroupError, UnknownPredicate
+from .errors import CapExceeded, SemigroupError, UnknownPredicate, WorkerFailed
 from .obstruction import (bc_test, gap_sum_profile, pair_sum_extras,
                           pairing_rules_out)
 
@@ -29,13 +32,11 @@ GAP_LIST_CAP = 512
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
-
-
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures.ProcessPoolExecutor, imported on first call, so a
-    serial scan or a single query never loads multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
+# a scan shard's index on the task pipe is one 4-byte record; POSIX makes a
+# pipe write of at most PIPE_BUF (>= 512) bytes atomic, so records written
+# 512 bytes at a time never split
+_RECORD = 4
+_TASK_CHUNK = 512
 
 
 class _UsageError(Exception):
@@ -275,18 +276,111 @@ def _predicate_fn(spec: str, n: int):
     raise UnknownPredicate(f"unknown predicate {spec!r}")
 
 
-def _scan_worker(payload: tuple[tuple[int, ...], int, int, str, int]):
-    root_gaps, lo, hi, pred_spec, n = payload
-    predicate = _predicate_fn(pred_spec, n)
+def _scan_worker(shard: tuple[NumericalSemigroup, int], lo: int, predicate):
+    """Scan one shard, a root and the genus its subtree stops at: the count
+    of nodes of genus >= lo and the rows of those the predicate accepts."""
+    root, hi = shard
     scanned = 0
     rows = []
-    for H in descendants(NumericalSemigroup(root_gaps), hi):
+    for H in descendants(root, hi):
         if H.genus < lo:
             continue
         scanned += 1
         if predicate(H):
             rows.append((H.genus, H.gaps, H.min_generators))
     return scanned, rows
+
+
+def _shard_worker(tasks: int, results: int, shards: list, lo: int, predicate) -> int:
+    """The body of a forked scan worker: scan each shard whose index it
+    reads from ``tasks`` until the pipe runs dry, then write to ``results``
+    the pickled (index, result) pairs, or the (index, exception) of the
+    shard that raised.  Returns the exit status."""
+    done: list = []
+    failure = None
+    index = -1
+    try:
+        while record := os.read(tasks, _RECORD):
+            index = int.from_bytes(record, "little")
+            done.append((index, _scan_worker(shards[index], lo, predicate)))
+    except Exception as exc:
+        done, failure = [], (index, exc)  # small, so the worker exits at once
+    with open(results, "wb") as out:
+        out.write(pickle.dumps((done, failure)))
+    return 0
+
+
+def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
+    """Scan ``shards`` on ``workers`` forked processes and return each
+    shard's (scanned, rows) in shard order.
+
+    Nothing is pickled to a worker: it inherits the shards and the
+    predicate, and takes shard indices from one pipe until it is empty.
+    The indices are written after the forks, so the write never waits for
+    a reader that does not exist yet.  The parent only hands out indices and
+    gathers results.  If a shard raised, the exception of the first such
+    shard is raised here, as the serial scan would raise it; a worker that
+    dies without a result is ``WorkerFailed``.  Every worker is reaped
+    before this returns or raises.
+    """
+    fds: set[int] = set()
+    pending: dict[int, int] = {}  # pid -> read end of its result pipe
+
+    def pipe() -> tuple[int, int]:
+        ends = os.pipe()
+        fds.update(ends)
+        return ends
+
+    def close(fd: int) -> None:
+        fds.discard(fd)
+        os.close(fd)
+
+    try:
+        tasks_r, tasks_w = pipe()
+        for _ in range(workers):
+            result_r, result_w = pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker leaves only by os._exit
+                status = 70  # EX_SOFTWARE, if the body itself fails
+                try:
+                    os.close(tasks_w)  # else its own reads would never see the end
+                    status = _shard_worker(tasks_r, result_w, shards, lo, predicate)
+                finally:
+                    os._exit(status)
+            close(result_w)
+            pending[pid] = result_r
+        close(tasks_r)
+        records = b"".join(i.to_bytes(_RECORD, "little") for i in range(len(shards)))
+        # with every worker dead the write fails; their statuses say why
+        with contextlib.suppress(BrokenPipeError):
+            for at in range(0, len(records), _TASK_CHUNK):
+                os.write(tasks_w, records[at:at + _TASK_CHUNK])
+        close(tasks_w)
+        parts: dict[int, Any] = {}
+        failures = []
+        for pid, result_r in list(pending.items()):
+            fds.discard(result_r)
+            with open(result_r, "rb") as result:
+                data = result.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pending[pid]
+            if not data:
+                raise WorkerFailed(f"scan worker exited with status {status} "
+                                   "before sending its result")
+            done, failure = pickle.loads(data)
+            parts.update(done)
+            if failure is not None:
+                failures.append(failure)
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return [parts[i] for i in range(len(shards))]
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pending:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _cmd_scan(args) -> list[dict[str, Any]]:
@@ -300,7 +394,7 @@ def _cmd_scan(args) -> list[dict[str, Any]]:
         raise CapExceeded(f"genus {hi} exceeds cap {cap} (set SGP_GENUS_CAP to raise)")
     if args.parallelism < 1:
         raise _UsageError(f"--parallelism must be at least 1, got {args.parallelism}")
-    _predicate_fn(args.predicate, args.n)  # fail fast on bad predicate
+    predicate = _predicate_fn(args.predicate, args.n)  # fails fast on bad parameters
     # nearly all of the tree hangs below the ordinary semigroups, so the
     # shards follow their chain (an ordinary semigroup's first child is the
     # next one): a chain node of genus >= lo is a one-node shard, each of
@@ -308,23 +402,21 @@ def _cmd_scan(args) -> list[dict[str, Any]]:
     # max(lo, hi - 5), whose node carries its subtree.  A deeper chain adds
     # shards faster than it evens them out.  The list runs backwards, so
     # the biggest shards go out first.
-    pred = (args.predicate, args.n)
-    payloads = []
+    shards = []
     H = NumericalSemigroup()
     while H.genus < max(lo, hi - 5):
         if H.genus >= lo:
-            payloads.append((H.gaps, lo, H.genus, *pred))
+            shards.append((H, H.genus))
         # looked up on the module, where the tests count expansions
         H, *siblings = core_mod.tree_children(H)
-        payloads.extend((K.gaps, lo, hi, *pred) for K in siblings)
-    payloads.append((H.gaps, lo, hi, *pred))
-    payloads.reverse()
-    workers = min(args.parallelism, os.cpu_count() or 1, len(payloads))
-    if workers == 1:
-        parts = list(map(_scan_worker, payloads))
+        shards.extend((K, hi) for K in siblings)
+    shards.append((H, hi))
+    shards.reverse()
+    workers = min(args.parallelism, os.cpu_count() or 1, len(shards))
+    if workers > 1 and hasattr(os, "fork"):
+        parts = _fork_shards(shards, lo, predicate, workers)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_worker, payloads))
+        parts = [_scan_worker(shard, lo, predicate) for shard in shards]
     scanned = sum(part_scanned for part_scanned, _ in parts)
     rows = sorted(row for _, part_rows in parts for row in part_rows)
     out = [{"genus": genus, **_gap_list(gaps), "min_gens": list(min_gens)}

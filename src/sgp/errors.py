@@ -92,6 +92,10 @@ class UnknownPredicate(SemigroupError):
     """The scan predicate name is not recognised."""
 
 
+class WorkerFailed(SemigroupError):
+    """A forked scan worker ended without sending back its result."""
+
+
 class ClaimFailed(SemigroupError):
     """A family construction, or a check of a theorem, produced an object
     violating one of its asserted properties."""

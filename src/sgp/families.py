@@ -16,8 +16,19 @@ from typing import Any
 from .bounds import coprime_lower_bound, divisor_condition, rho1, rho3
 from .classify import _require_prime, project_by_n, type_verdict
 from .core import NumericalSemigroup, format_semigroup, from_generators, natural_gamma
-from .errors import ClaimFailed, ParityViolation, PreconditionViolated, RangeViolation
+from .errors import (CapExceeded, ClaimFailed, ParityViolation, PreconditionViolated,
+                     RangeViolation)
 from .obstruction import NOT_WEIERSTRASS, gap_sum_profile, pairing_obstruction
+
+# buchweitz_family and cover_family build and check gap lists about g and 2g
+# long, so past this genus they raise CapExceeded before building anything
+# (the other constructors stop at core.GENERATOR_WINDOW_CAP)
+FAMILY_GENUS_CAP = 500_000
+
+
+def _check_genus_cap(g: int) -> None:
+    if g > FAMILY_GENUS_CAP:
+        raise CapExceeded(f"genus {g} exceeds the family cap {FAMILY_GENUS_CAP}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,7 @@ def buchweitz_family(g: int, i: int, a: int | None = None) -> FamilyResult:
     Default a = 2i-5 needs g >= 9i-20; any a > 2i-6 works provided
     g >= 2a-10+5i and 3g+2a+i-10 is even (then h1 is half of it).
     """
+    _check_genus_cap(g)
     if i < 4:
         raise RangeViolation(f"need i >= 4, got {i}")
     if a is None:
@@ -118,6 +130,7 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     cross-checked against that inequality.  Tuples with 2g-f divisible by
     N are rejected rather than silently bumping g.
     """
+    _check_genus_cap(g)
     _require_prime(N)
     gamma = htilde.genus
     if g <= rho3(N, gamma):

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sgp.cli import run
 from sgp.core import format_semigroup, from_generators
 from sgp.families import cover_family
@@ -15,31 +17,43 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def fake_pool(monkeypatch, cores):
-    """Run scan shards in-process on a machine with this many cores; return
-    the (pool size, shard results in dispatch order) of each pool made."""
+def fake_fork(monkeypatch, cores):
+    """Run forked scans in-process on a machine with this many cores; return
+    the (worker count, shard results in dispatch order) of each forked scan."""
     import os
     import sgp.cli
-    pools = []
+    forks = []
 
-    class FakePool:
-        def __init__(self, max_workers):
-            self.results = []
-            pools.append((max_workers, self.results))
+    def run_in_process(shards, lo, predicate, workers):
+        results = [sgp.cli._scan_worker(shard, lo, predicate) for shard in shards]
+        forks.append((workers, results))
+        return results
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            self.results.extend(map(fn, iterable))
-            return self.results
-
-    monkeypatch.setattr(sgp.cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(sgp.cli, "_fork_shards", run_in_process)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    return pools
+    return forks
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that waits on forked workers for over a minute, rather
+    than hang the suite; the alarm interrupts the parent's wait."""
+    import signal
+
+    def expired(signum, frame):
+        raise TimeoutError("forked scan still waiting after 60 s")
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def assert_no_children():
+    import os
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_info(capsys):
@@ -183,15 +197,21 @@ def test_scan_rows_carry_min_generators(capsys):
             assert row["min_gens"] == list(from_gaps(row["gaps"]).min_generators)
 
 
-def test_scan_parallel_output_identical(capsys):
+def test_scan_parallel_output_identical(capsys, monkeypatch, time_limit):
+    import os
+    # three cores, so both parallel runs fork on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     # the shard chain stops at genus max(lo, hi - 5): at hi - 5 for 2..9,
     # at lo for the other ranges, and at lo = hi for 16
-    for genus in ("0..3", "2..9", "6..9", "12..14", "16"):
-        base = ["scan", "--genus", genus, "--predicate", "quasi_symmetric"]
-        code1, out1, _ = invoke(capsys, *base, "--parallelism", "1")
-        code2, out2, _ = invoke(capsys, *base, "--parallelism", "3")
-        assert code1 == code2 == 0
-        assert out1 == out2
+    for predicate in (["quasi_symmetric"], ["obstruction"], ["bc_fail", "--n", "3"]):
+        for genus in ("0..3", "2..9", "6..9", "12..14", "16"):
+            base = ["scan", "--genus", genus, "--predicate", *predicate]
+            code1, out1, _ = invoke(capsys, *base, "--parallelism", "1")
+            for parallelism in ("2", "3"):
+                code2, out2, _ = invoke(capsys, *base, "--parallelism", parallelism)
+                assert code1 == code2 == 0
+                assert out1 == out2, (predicate, genus, parallelism)
+    assert_no_children()
 
 
 def test_scan_walks_tree_once(capsys, monkeypatch):
@@ -218,38 +238,24 @@ def test_scan_walks_tree_once(capsys, monkeypatch):
 
 
 def test_scan_parallelism_bounds(capsys, monkeypatch):
-    import os
-    import sgp.cli
     for bad in ("0", "-3"):
         code, out, err = invoke(capsys, "scan", "--genus", "3",
                                 "--predicate", "symmetric", "--parallelism", bad)
         assert code == 64 and out == ""
         assert json.loads(err)["error"]["name"] == "Usage"
-    sizes = []
+    # never fork this many workers for real: records the count instead
+    forks = fake_fork(monkeypatch, 3)
 
-    class FakePool:  # records the pool size, maps in-process
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def sizes():
+        return [workers for workers, _ in forks]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    # never ask the real pool for this many workers: fork starts them all
-    monkeypatch.setattr(sgp.cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     base = ["scan", "--predicate", "symmetric", "--parallelism", "1000000"]
     code, out, _ = invoke(capsys, *base, "--genus", "2..9")
-    assert code == 0 and sizes == [3]  # clamped to the core count
+    assert code == 0 and sizes() == [3]  # clamped to the core count
     code, _, _ = invoke(capsys, *base, "--genus", "2")
-    assert code == 0 and sizes == [3, 2]  # two semigroups of genus 2
+    assert code == 0 and sizes() == [3, 2]  # two semigroups of genus 2
     code, _, _ = invoke(capsys, *base, "--genus", "1")
-    assert code == 0 and sizes == [3, 2]  # one shard runs in-process
+    assert code == 0 and sizes() == [3, 2]  # one shard runs in-process
     code1, out1, _ = invoke(capsys, "scan", "--genus", "2..9",
                             "--predicate", "symmetric")
     assert out1 == out
@@ -258,15 +264,15 @@ def test_scan_parallelism_bounds(capsys, monkeypatch):
 def test_scan_shards_balance(capsys, monkeypatch):
     # dispatched in order to whichever of 2 workers is free first, the
     # shards of 12..17 split the 18,994 nodes about evenly
-    pools = fake_pool(monkeypatch, 2)
+    forks = fake_fork(monkeypatch, 2)
     code, out, _ = invoke(capsys, "scan", "--genus", "12..17",
                           "--predicate", "symmetric", "--parallelism", "2")
     assert code == 0
-    [(size, results)] = pools
+    [(size, results)] = forks
     counts = [scanned for scanned, _ in results]
     # the chain stops at genus 12: the k other children of each ordinary
     # semigroup of genus k < 12, then the genus-12 one; every extra shard
-    # costs a pool task
+    # costs a worker one more index read and one more result
     assert size == 2 and len(counts) == sum(range(12)) + 1 == 67
     assert sum(counts) == 18994
     assert json.loads(out.splitlines()[-1])["scanned"] == 18994
@@ -277,7 +283,7 @@ def test_scan_shards_balance(capsys, monkeypatch):
 
 
 def test_scan_bad_predicate_parameters_fail_before_pool(capsys, monkeypatch):
-    pools = fake_pool(monkeypatch, 2)
+    forks = fake_fork(monkeypatch, 2)
     for predicate, message in ((["type:0,1"], "need N >= 1 and gamma >= 0"),
                                (["type:2,-1"], "need N >= 1 and gamma >= 0"),
                                (["bc_fail", "--n", "1"], "need n >= 2")):
@@ -286,7 +292,7 @@ def test_scan_bad_predicate_parameters_fail_before_pool(capsys, monkeypatch):
                                 "2", "--predicate", *predicate)
         assert code == 64 and out == "", predicate
         assert json.loads(err)["error"] == {"name": "Usage", "message": message}
-    assert pools == []
+    assert forks == []
 
 
 def test_huge_gamma_and_N_answer_at_once(capsys):
@@ -331,6 +337,103 @@ def test_serial_scan_does_not_load_multiprocessing():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_forked_scan_raises_like_serial(capsys, monkeypatch, time_limit):
+    import os
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    base = ["scan", "--genus", "16..17", "--predicate", "bc_fail", "--n", "40000"]
+    serial = invoke(capsys, *base, "--parallelism", "1")
+    forked = invoke(capsys, *base, "--parallelism", "2")
+    assert serial[0] == 2
+    assert json.loads(serial[1])["error"]["name"] == "CapExceeded"
+    assert forked == serial
+    assert_no_children()
+
+
+def test_forked_scan_worker_death(capsys, monkeypatch, time_limit):
+    import os
+    import sgp.cli
+    original = sgp.cli._scan_worker
+
+    def dies_on_one_shard(shard, lo, predicate):
+        if shard[0].gaps == tuple(range(1, 13)):  # the chain's last node
+            os._exit(3)
+        return original(shard, lo, predicate)
+
+    monkeypatch.setattr(sgp.cli, "_scan_worker", dies_on_one_shard)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, _ = invoke(capsys, "scan", "--genus", "12..14",
+                          "--predicate", "symmetric", "--parallelism", "2")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["name"] == "WorkerFailed" and "status 3" in error["message"]
+    assert_no_children()
+
+
+def test_forked_shards_each_come_back_once(monkeypatch, time_limit):
+    # more indices than one pipe buffer holds, so the parent's writes wait
+    # for the workers' reads
+    import sgp.cli
+    monkeypatch.setattr(sgp.cli, "_scan_worker",
+                        lambda shard, lo, predicate: (1, [shard]))
+    shards = list(range(20000))
+    assert sgp.cli._fork_shards(shards, 0, None, 2) == [(1, [i]) for i in shards]
+    assert_no_children()
+
+    def raises(shard, lo, predicate):
+        raise ValueError(shard)
+
+    # every worker stops at its first shard, so the writes meet no reader;
+    # the first shard's exception comes back, as in a serial scan
+    monkeypatch.setattr(sgp.cli, "_scan_worker", raises)
+    with pytest.raises(ValueError) as info:
+        sgp.cli._fork_shards(shards, 0, None, 2)
+    assert info.value.args == (0,)
+    assert_no_children()
+
+
+def test_forked_workers_reaped_when_gathering_fails(monkeypatch, time_limit):
+    # the parent fails on the first result it reads, with the other
+    # worker not yet reaped
+    import pickle
+    import sgp.cli
+
+    class UnreadablePickle:
+        dumps = staticmethod(pickle.dumps)
+
+        @staticmethod
+        def loads(data):
+            raise RuntimeError("unreadable result")
+
+    monkeypatch.setattr(sgp.cli, "_scan_worker",
+                        lambda shard, lo, predicate: (1, [shard]))
+    monkeypatch.setattr(sgp.cli, "pickle", UnreadablePickle)
+    with pytest.raises(RuntimeError, match="unreadable result"):
+        sgp.cli._fork_shards(list(range(100)), 0, None, 2)
+    assert_no_children()
+
+
+def test_scan_without_fork_runs_in_process(capsys, monkeypatch):
+    import os
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    base = ["scan", "--genus", "2..9", "--predicate", "symmetric"]
+    serial = invoke(capsys, *base, "--parallelism", "1")
+    assert serial[0] == 0
+    assert invoke(capsys, *base, "--parallelism", "3") == serial
+
+
+def test_forked_scan_does_not_load_multiprocessing():
+    code = ("import os, sys; from sgp.cli import run; os.cpu_count = lambda: 2; "
+            "run(['scan', '--genus', '0..6', '--predicate', 'symmetric', "
+            "'--parallelism', '2']); "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads(proc.stdout.splitlines()[-2])["scanned"] == 1 + 1 + 2 + 4 + 7 + 12 + 23
 
 
 def test_obstruct_sumset_cap(capsys):

@@ -1,11 +1,15 @@
 """Family constructors: every instance re-checks its own claims."""
 
+import subprocess
+import sys
+import time
+
 import pytest
 
 from sgp.bounds import rho3
 from sgp.classify import project_by_n, type_verdict
 from sgp.core import from_gaps, from_generators, natural_gamma
-from sgp.errors import (ClaimFailed, NotPrime, ParityViolation,
+from sgp.errors import (CapExceeded, ClaimFailed, NotPrime, ParityViolation,
                         PreconditionViolated, RangeViolation)
 from sgp.families import (buchweitz_family, cover_family,
                           superelliptic_extremal, superelliptic_sharp,
@@ -223,3 +227,27 @@ def test_buchweitz_output_found_by_obstruction_scan():
     # the generated gap set must look obstructed to the generic machinery
     H = buchweitz_family(16, 4).semigroup
     assert not gap_sum_profile(H, 2).passes_bc
+
+
+def test_genus_cap(monkeypatch):
+    import sgp.families
+    monkeypatch.setattr(sgp.families, "FAMILY_GENUS_CAP", 100)
+    htilde = from_generators([2, 3])
+    assert buchweitz_family(100, 4).semigroup.genus == 100
+    assert cover_family(htilde, 2, 100, 1).semigroup.genus == 100
+    # checked first: 101 also has the wrong parity for buchweitz
+    with pytest.raises(CapExceeded):
+        buchweitz_family(101, 4)
+    with pytest.raises(CapExceeded):
+        cover_family(htilde, 2, 101, 1)
+
+
+def test_genus_cap_exits_at_once():
+    for params in (["buchweitz", "--params", "g=10000000", "i=4"],
+                   ["cover", "--params", "htilde=gens:2,3", "N=2", "g=10000001", "f=1"]):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "sgp.cli", "family", *params],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, params
+        assert '"CapExceeded"' in proc.stdout
+        assert time.perf_counter() - t0 < 1, params
