@@ -34,16 +34,17 @@ class NumericalSemigroup:
     tuple.  The constructor validates closure of the complement and raises
     NotASemigroup(a, b) with a concrete witness when two elements sum to
     a listed gap.  Tree children skip that sieve: ``tree_children`` builds
-    all of a node's children in one pass over its fields, from its minimal
-    generators above the Frobenius number, whose removal keeps closure.  The
-    elements below the conductor, the minimal generators and the n-fold
-    gap sumsets are derived on first use and cached, so a node pays only
-    for what is read of it; tree children derive their generators and
-    carry their sumsets from the parent's.
+    all of a node's children in one pass over its fields, from its effective
+    generators (the minimal generators above the Frobenius number), whose
+    removal keeps closure.  The elements below the conductor, the effective
+    and the minimal generators and the n-fold gap sumsets are derived on
+    first use and cached, so a node pays only for what is read of it; tree
+    children derive their generators and carry their sumsets from the
+    parent's.
     """
 
     __slots__ = ("gaps", "genus", "frobenius", "conductor", "_member_bits",
-                 "_small", "_min_gens", "_gens_from", "_sumsets")
+                 "_small", "_min_gens", "_eff", "_parent", "_sumsets")
 
     def __init__(self, gaps: Iterable[int] = ()):
         gap_list = sorted(set(gaps))
@@ -60,8 +61,9 @@ class NumericalSemigroup:
         self._member_bits = ((1 << (self.conductor + 1)) - 1) & ~gap_bits
         self._small: tuple[int, ...] | None = None
         self._min_gens: tuple[int, ...] | None = None
-        # a tree child's (parent's minimal generators, removed generator)
-        self._gens_from: tuple[tuple[int, ...], int] | None = None
+        self._eff: tuple[int, ...] | None = None
+        # a tree child's parent; the child is the parent minus its frobenius
+        self._parent: NumericalSemigroup | None = None
         self._sumsets: tuple[int, ...] = ()
         self._check_closure(gap_bits)
 
@@ -118,7 +120,7 @@ class NumericalSemigroup:
     @property
     def min_generators(self) -> tuple[int, ...]:
         if self._min_gens is None:
-            self._min_gens = (self._compute_min_generators() if self._gens_from is None
+            self._min_gens = (self._compute_min_generators() if self._parent is None
                               else self._derive_min_generators())
         return self._min_gens
 
@@ -148,10 +150,7 @@ class NumericalSemigroup:
         sums = self._sumsets
         if n <= len(sums):
             return sums[n - 1]
-        work = (n - max(len(sums), 1)) * self.genus * n * self.frobenius
-        if work > SUMSET_WORK_CAP:
-            raise CapExceeded(f"sumset work levels * genus * width = {work} "
-                              f"exceeds cap {SUMSET_WORK_CAP}")
+        _check_sumset_work(n, self.genus, self.frobenius, len(sums))
         levels = list(sums) or [self._gap_bits()]
         acc = levels[-1]
         for j in range(len(levels) + 1, n + 1):
@@ -164,27 +163,64 @@ class NumericalSemigroup:
         self._sumsets = tuple(levels)
         return acc
 
-    def _derive_min_generators(self) -> tuple[int, ...]:
-        """A tree child's minimal generators from its parent's.
+    def _effective_generators(self) -> tuple[int, ...]:
+        """The minimal generators above the Frobenius number, ascending:
+        those whose removal gives a tree child.  Derived on first use.
 
-        Every minimal generator of the child lies below x + 1 + m, and a new
-        one has the form x + s with s a minimal generator of the parent, so
-        the only candidate is x + m (or, when x == m, the child is ordinary).
+        A non-ordinary tree child H minus x keeps H's effective generators
+        above x.  Every minimal generator of the child lies below x + 1 + m,
+        and a new one has the form x + s with s a minimal generator of H, so
+        the only candidate is x + m.  It is new unless it splits as a + b
+        with m < a <= b elements; then both lie below x, so H and the child
+        agree on them.
         """
-        gens, x = self._gens_from
-        bits = self._member_bits
-        m = gens[0]
-        i = gens.index(x)
-        gens = gens[:i] + gens[i + 1:]
-        if x == m:
-            return gens + (2 * m, 2 * m + 1)
-        # x + m is a new generator unless it splits as a + (x + m - a)
-        # with m < a <= (x + m) / 2, both elements of the child
-        t = x + m
-        for a in range(m + 1, t // 2 + 1):
-            if bits >> a & 1 and bits >> (t - a) & 1:
-                return gens
-        return gens + (t,)
+        if self._eff is not None:
+            return self._eff
+        x = self.frobenius
+        g = self.genus
+        if x <= g:  # ordinary: gaps 1 .. g, generators g+1 .. 2g+1
+            eff = tuple(range(g + 1, 2 * g + 2))
+        elif self._parent is None:
+            eff = tuple(y for y in self.min_generators if y > x)
+        else:
+            eff = self._parent._eff
+            eff = eff[eff.index(x) + 1:]
+            bits = self._member_bits
+            pos = bits & ~1
+            m = (pos & -pos).bit_length() - 1
+            t = x + m
+            for a in range(m + 1, t // 2 + 1):
+                if bits >> a & 1 and bits >> (t - a) & 1:
+                    break
+            else:
+                eff += (t,)
+        self._eff = eff
+        return eff
+
+    def _derive_min_generators(self) -> tuple[int, ...]:
+        """A tree child's minimal generators: its parent's below its
+        Frobenius number x, then its effective generators.  The parent's
+        come the same way, from the nearest ancestor that has them."""
+        chain = []
+        node = self
+        while node._min_gens is None and node._parent is not None:
+            chain.append(node)
+            node = node._parent
+        gens = node.min_generators
+        for node in reversed(chain):
+            gens = gens[:gens.index(node.frobenius)] + node._effective_generators()
+            node._min_gens = gens
+        return gens
+
+
+def _check_sumset_work(n: int, genus: int, frobenius: int, built: int) -> None:
+    """Raise CapExceeded when building levels built + 1 .. n of the n-fold
+    gap sumset of a semigroup of this genus and Frobenius number takes more
+    than SUMSET_WORK_CAP bit-shifts; the first level costs nothing."""
+    work = (n - max(built, 1)) * genus * n * frobenius
+    if work > SUMSET_WORK_CAP:
+        raise CapExceeded(f"sumset work levels * genus * width = {work} "
+                          f"exceeds cap {SUMSET_WORK_CAP}")
 
 
 def _pair_sums(pos: int, limit: int) -> int:
@@ -286,19 +322,20 @@ def apery_profile(H: NumericalSemigroup, m: int) -> AperyProfile:
 
 
 def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
-    """Children in the genus tree: H minus x for each minimal generator x
-    beyond the Frobenius number, in ascending order of x, built in one pass
-    over H's fields.
+    """Children in the genus tree: H minus x for each effective generator
+    x of H (a minimal generator beyond the Frobenius number), in ascending
+    order of x, built in one pass over H's fields.
 
     Removing a minimal generator keeps closure, so no child runs the
-    constructor's sieve.  H's generators, gaps, bits and sumsets are read
-    once for all the children.  A child keeps H's generators and x, and
-    derives its own on first access (``_derive_min_generators``); a walk
-    reads them only on the nodes it expands or emits.  Cached gap sumsets
-    S_1 .. S_k carry over as S_j' = S_j | (S_{j-1}' << x), with S_0' = {0}.
+    constructor's sieve.  H's effective generators, gaps, bits and sumsets
+    are read once for all the children.  A child keeps a reference to H,
+    derives its own effective generators from H's when it is expanded in
+    turn, and its minimal generators only when they are read
+    (``_effective_generators``, ``_derive_min_generators``).
+    Cached gap sumsets S_1 .. S_k carry over as S_j' = S_j | (S_{j-1}' << x),
+    with S_0' = {0}.
     """
-    gens = H.min_generators
-    f = H.frobenius
+    eff = H._effective_generators()
     gaps = H.gaps
     genus = H.genus + 1
     sums = H._sumsets
@@ -308,9 +345,7 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
     low = (H._member_bits ^ c) - c
     new = object.__new__
     kids = []
-    for x in gens:
-        if x <= f:
-            continue
+    for x in eff:
         child = new(NumericalSemigroup)
         child.gaps = gaps + (x,)
         child.genus = genus
@@ -319,7 +354,8 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
         child._member_bits = low + (3 << x)
         child._small = None
         child._min_gens = None
-        child._gens_from = (gens, x)
+        child._eff = None
+        child._parent = H
         if sums:
             carried = []
             prev = 1

@@ -18,7 +18,8 @@ from .classify import _require_prime, project_by_n, type_verdict
 from .core import NumericalSemigroup, format_semigroup, from_generators, natural_gamma
 from .errors import (CapExceeded, ClaimFailed, ParityViolation, PreconditionViolated,
                      RangeViolation)
-from .obstruction import NOT_WEIERSTRASS, gap_sum_profile, pairing_obstruction
+from .obstruction import (NOT_WEIERSTRASS, check_sumset_caps, gap_sum_profile,
+                          pairing_obstruction)
 
 # buchweitz_family and cover_family build and check gap lists about g and 2g
 # long, so past this genus they raise CapExceeded before building anything
@@ -86,6 +87,8 @@ def buchweitz_family(g: int, i: int, a: int | None = None) -> FamilyResult:
         raise RangeViolation(f"need g >= {2 * a - 10 + 5 * i}, got {g}")
     h1 = (3 * g + 2 * a + i - 10) // 2
     ell = 2 * g - 2 * i + 1
+    # the pairwise gap sumset below is the costly part: fail before building
+    check_sumset_caps(2, g, ell)
     gaps = list(range(1, g - i + 1))
     gaps.extend(h1 - (a + 2 * k) for k in range(i - 2))
     gaps.extend((h1, ell))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import NumericalSemigroup, _bit_positions
+from .core import NumericalSemigroup, _bit_positions, _check_sumset_work
 from .errors import CapExceeded, GenusTooSmall, WrongShape
 
 NOT_WEIERSTRASS = "not_weierstrass"
@@ -24,12 +24,25 @@ INCONCLUSIVE = "inconclusive"
 SUMSET_WIDTH_CAP = 10**6
 
 
+def _check_sumset_width(n: int, frobenius: int) -> None:
+    if n * frobenius > SUMSET_WIDTH_CAP:
+        raise CapExceeded(f"sumset width n * frobenius = {n * frobenius} "
+                          f"exceeds cap {SUMSET_WIDTH_CAP}")
+
+
+def check_sumset_caps(n: int, genus: int, frobenius: int) -> None:
+    """Raise CapExceeded unless the n-fold gap sumset of a semigroup of this
+    genus and Frobenius number passes the width cap every gap-sum check
+    shares and the work cap of ``_sumset`` when built from scratch, so a
+    constructor can fail before it builds the semigroup."""
+    _check_sumset_width(n, frobenius)
+    _check_sumset_work(n, genus, frobenius, 0)
+
+
 def _sumset_bits(H: NumericalSemigroup, n: int) -> int:
     """H's n-fold gap sumset as a bitset, behind the width cap that every
     gap-sum check shares (and the work cap of ``_sumset``)."""
-    if n * H.frobenius > SUMSET_WIDTH_CAP:
-        raise CapExceeded(f"sumset width n * frobenius = {n * H.frobenius} "
-                          f"exceeds cap {SUMSET_WIDTH_CAP}")
+    _check_sumset_width(n, H.frobenius)
     return H._sumset(n)
 
 
@@ -75,7 +88,9 @@ def bc_test(n: int) -> Callable[[NumericalSemigroup], bool]:
     """``lambda H: H.genus >= 2 and fails_bc(H, n)`` for many semigroups.
 
     n is checked once, here, with fails_bc's ValueError; each call then
-    compares the popcount of the capped sumset with (2n-1)(g-1).
+    compares the popcount of the capped sumset with (2n-1)(g-1).  A tree
+    child that carries level n reads it directly, behind the same width
+    cap.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -83,7 +98,12 @@ def bc_test(n: int) -> Callable[[NumericalSemigroup], bool]:
 
     def fails(H: NumericalSemigroup) -> bool:
         g = H.genus
-        return g >= 2 and _sumset_bits(H, n).bit_count() > k * (g - 1)
+        if g < 2:
+            return False
+        sums = H._sumsets
+        bits = (sums[n - 1] if n <= len(sums) and n * H.frobenius <= SUMSET_WIDTH_CAP
+                else _sumset_bits(H, n))
+        return bits.bit_count() > k * (g - 1)
 
     return fails
 

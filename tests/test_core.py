@@ -1,6 +1,7 @@
 """Core representation: construction, indexing, Apery data, enumeration."""
 
 import math
+import sys
 from functools import reduce
 from itertools import combinations
 
@@ -305,12 +306,16 @@ def test_tree_children_order():
 
 def _assert_children_match_constructor(H):
     """Every tree child, built from H's fields, equals the validating
-    constructor on every field, minimal generators included."""
+    constructor on every field, minimal generators included, and its own
+    children are its minimal generators above its Frobenius number."""
     removed = [x for x in H.min_generators if x > H.frobenius]
     kids = tree_children(H)
     assert len(kids) == len(removed)
     for x, kid in zip(removed, kids):
         ref = NumericalSemigroup(H.gaps + (x,))
+        # expanded before anything else is read of it, as a walk does
+        assert [k.frobenius for k in tree_children(kid)] == [
+            y for y in ref.min_generators if y > kid.frobenius], (H.gaps, x)
         for field in ("gaps", "genus", "frobenius", "conductor",
                       "_member_bits", "_small_elements"):
             assert getattr(kid, field) == getattr(ref, field), (H.gaps, x, field)
@@ -334,7 +339,8 @@ def test_tree_children_of_ordinary_semigroups():
 
 def _child_reference(H, x):
     """The fields of H minus x, each set from H's fields one child at a
-    time, as before the one-pass builder: the oracle for ``tree_children``."""
+    time, as before the one-pass builder: the oracle for ``tree_children``.
+    A child derives nothing until it is expanded or read."""
     c = H.conductor
     mask = (1 << (x + 2)) - 1
     prev, carried = 1, []
@@ -344,7 +350,8 @@ def _child_reference(H, x):
     return {"gaps": H.gaps + (x,), "genus": H.genus + 1, "frobenius": x,
             "conductor": x + 1,
             "_member_bits": (H._member_bits | (mask ^ ((1 << c) - 1))) & ~(1 << x),
-            "_gens_from": (H.min_generators, x), "_sumsets": tuple(carried)}
+            "_small": None, "_min_gens": None, "_eff": None,
+            "_sumsets": tuple(carried)}
 
 
 def test_children_builder_matches_child_exhaustive():
@@ -362,32 +369,62 @@ def test_children_builder_matches_child_exhaustive():
                 ref = _child_reference(H, x)
                 for field, value in ref.items():
                     assert getattr(kid, field) == value, (H.gaps, levels, x, field)
-                assert (kid.min_generators
-                        == NumericalSemigroup(ref["gaps"]).min_generators), (H.gaps, x)
+                assert kid._parent is H, (H.gaps, x)
+                gens = NumericalSemigroup(ref["gaps"]).min_generators
+                assert kid._effective_generators() == tuple(
+                    y for y in gens if y > x), (H.gaps, x)
+                assert kid.min_generators == gens, (H.gaps, x)
 
 
 def test_walk_derives_generators_only_where_read(monkeypatch):
     # a walk to genus 12 expands the nodes of genus < 12 and reads nothing
-    # else: generators are derived for exactly those (the root computes its
-    # own), and no node decodes its small elements
+    # else: effective generators are derived for exactly those, no node
+    # builds its full generator tuple, and no node decodes its small elements
     derived = []
-    original = NumericalSemigroup._derive_min_generators
+    built = []
+    original = NumericalSemigroup._effective_generators
 
     def counting(self):
-        derived.append(self.gaps)
+        if self._eff is None:
+            derived.append(self.gaps)
         return original(self)
 
-    monkeypatch.setattr(NumericalSemigroup, "_derive_min_generators", counting)
+    def building(method):
+        def wrapped(self):
+            built.append(self.gaps)
+            return method(self)
+        return wrapped
+
+    monkeypatch.setattr(NumericalSemigroup, "_effective_generators", counting)
+    for name in ("_compute_min_generators", "_derive_min_generators"):
+        monkeypatch.setattr(NumericalSemigroup, name,
+                            building(getattr(NumericalSemigroup, name)))
     nodes = list(descendants(NumericalSemigroup(), 12))
-    expanded = [H.gaps for H in nodes if 0 < H.genus < 12]
+    expanded = [H.gaps for H in nodes if H.genus < 12]
     assert len(nodes) == sum((1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592))
     assert sorted(derived) == sorted(expanded)
+    assert built == []
+    assert all(H._min_gens is None for H in nodes)
     assert all(H._small is None for H in nodes)
-    assert all(H._min_gens is None for H in nodes if H.genus == 12)
-    # an emitted leaf derives its generators on access
-    leaf = next(H for H in nodes if H.genus == 12)
+    assert all(H._eff is None for H in nodes if H.genus == 12)
+    # an emitted leaf derives its generators when they are read
+    leaf = next(H for H in nodes if H.genus == 12 and H.frobenius > 12)
     assert leaf.min_generators == NumericalSemigroup(leaf.gaps).min_generators
+    assert built[0] == leaf.gaps
     assert len(derived) == len(expanded) + 1 and derived[-1] == leaf.gaps
+
+
+def test_deep_chain_derives_generators_without_recursion():
+    # below <2, 5> every node <2, 2k + 1> has the one child <2, 2k + 3>, so
+    # the walk is a chain deeper than the recursion limit, and its last node
+    # derives its generators through every ancestor up to the root
+    root = from_generators([2, 5])
+    depth = sys.getrecursionlimit() + 10
+    nodes = 0
+    for H in descendants(root, root.genus + depth):
+        nodes += 1
+    assert nodes == depth + 1
+    assert H.min_generators == (2, 2 * H.genus + 1)
 
 
 def test_walk_matches_a007323_through_genus_20():
@@ -428,8 +465,8 @@ def test_parse_rejects_malformed(bad):
 
 
 @st.composite
-def generator_lists(draw):
-    gens = draw(st.lists(st.integers(2, 40), min_size=1, max_size=4))
+def generator_lists(draw, top=40):
+    gens = draw(st.lists(st.integers(2, top), min_size=1, max_size=4))
     if math.gcd(*gens) != 1:
         # one successor element forces the gcd down to 1
         gens.append(draw(st.sampled_from(gens)) + 1)
@@ -457,6 +494,21 @@ def test_generated_semigroup_properties(gens):
 @settings(max_examples=80, deadline=None)
 def test_tree_children_match_constructor_generated(gens):
     _assert_children_match_constructor(from_generators(gens))
+
+
+@given(generator_lists(top=12))
+@settings(max_examples=40, deadline=None)
+def test_walk_matches_constructor_generated(gens):
+    # three levels below a root the constructor built, every node's fields,
+    # its children and its generators agree with a fresh construction
+    root = from_generators(gens)
+    for H in descendants(root, root.genus + 3):
+        ref = NumericalSemigroup(H.gaps)
+        assert [k.frobenius for k in tree_children(H)] == [
+            x for x in ref.min_generators if x > ref.frobenius], H.gaps
+        for field in ("gaps", "genus", "frobenius", "conductor",
+                      "_member_bits", "min_generators", "_small_elements"):
+            assert getattr(H, field) == getattr(ref, field), (H.gaps, field)
 
 
 @given(st.integers(1, 60))

@@ -242,8 +242,34 @@ def test_genus_cap(monkeypatch):
         cover_family(htilde, 2, 101, 1)
 
 
+def test_buchweitz_sumset_caps_checked_before_building(monkeypatch):
+    # the check, not the blow-up: the pairwise gap sumset of (16, 4) has
+    # genus 16 and frobenius 25, so width 2 * 25 = 50 and work 16 * 2 * 25
+    import sgp.core
+    import sgp.families
+    import sgp.obstruction
+
+    def never_built(gaps):
+        raise AssertionError("built a semigroup past the sumset caps")
+
+    assert buchweitz_family(16, 4).semigroup.gaps == BUCHWEITZ_GAPS
+    monkeypatch.setattr(sgp.families, "NumericalSemigroup", never_built)
+    monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", 49)
+    with pytest.raises(CapExceeded, match="n \\* frobenius = 50 exceeds cap 49"):
+        buchweitz_family(16, 4)
+    monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", 50)
+    monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 799)
+    with pytest.raises(CapExceeded, match="work .* = 800 exceeds cap 799"):
+        buchweitz_family(16, 4)
+    monkeypatch.undo()
+    monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", 50)
+    monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 800)
+    assert buchweitz_family(16, 4).semigroup.gaps == BUCHWEITZ_GAPS
+
+
 def test_genus_cap_exits_at_once():
     for params in (["buchweitz", "--params", "g=10000000", "i=4"],
+                   ["buchweitz", "--params", "g=500000", "i=4"],
                    ["cover", "--params", "htilde=gens:2,3", "N=2", "g=10000001", "f=1"]):
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "sgp.cli", "family", *params],

@@ -170,6 +170,25 @@ def test_bc_test_at_buchweitz_example():
     assert [fails_bc(H, n) for n in (2, 3, 4)] == [True, False, False]
 
 
+def test_bc_test_reads_carried_levels(monkeypatch):
+    # walk down to Buchweitz's example, testing each node on the way, so
+    # the example carries the levels it is tested on; the width cap still
+    # applies to a carried level
+    import sgp.obstruction
+    for n, expected in ((2, True), (3, False), (4, False)):
+        test = bc_test(n)
+        H = NumericalSemigroup()
+        for x in BUCHWEITZ_GAPS:
+            test(H)
+            H = next(kid for kid in tree_children(H) if kid.frobenius == x)
+        assert H.gaps == BUCHWEITZ_GAPS and len(H._sumsets) >= n
+        assert test(H) is expected
+        monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", n * 25 - 1)
+        with pytest.raises(CapExceeded, match="exceeds cap"):
+            test(H)
+        monkeypatch.undo()
+
+
 def test_fails_bc_matches_profile(by_genus):
     for g in range(2, 14):
         for H in by_genus(g):
