@@ -200,7 +200,9 @@ class NumericalSemigroup:
     def _derive_min_generators(self) -> tuple[int, ...]:
         """A tree child's minimal generators: its parent's below its
         Frobenius number x, then its effective generators.  The parent's
-        come the same way, from the nearest ancestor that has them."""
+        come the same way, from the nearest ancestor that has them.  Each
+        node on the way then lets go of its parent, which nothing reads
+        once its generators are known."""
         chain = []
         node = self
         while node._min_gens is None and node._parent is not None:
@@ -210,6 +212,7 @@ class NumericalSemigroup:
         for node in reversed(chain):
             gens = gens[:gens.index(node.frobenius)] + node._effective_generators()
             node._min_gens = gens
+            node._parent = None
         return gens
 
 
@@ -382,7 +385,12 @@ def descendants(H: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemi
 
 def enumerate_genus_range(lo: int, hi: int,
                           cap: int = DEFAULT_GENUS_CAP) -> Iterator[NumericalSemigroup]:
-    """Every semigroup with lo <= genus <= hi, in tree order."""
+    """Every semigroup with lo <= genus <= hi, in tree order.
+
+    A yielded node refers to its tree parent until its minimal generators
+    are read, so a caller that keeps nodes without reading them also keeps
+    their ancestors alive.
+    """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
     if hi > cap:

@@ -21,9 +21,10 @@ from .errors import (CapExceeded, ClaimFailed, ParityViolation, PreconditionViol
 from .obstruction import (NOT_WEIERSTRASS, check_sumset_caps, gap_sum_profile,
                           pairing_obstruction)
 
-# buchweitz_family and cover_family build and check gap lists about g and 2g
-# long, so past this genus they raise CapExceeded before building anything
-# (the other constructors stop at core.GENERATOR_WINDOW_CAP)
+# cover_family builds and checks gap lists about g and 2g long, so past this
+# genus it raises CapExceeded before building anything (buchweitz_family stops
+# earlier, at the sumset caps of its pairwise gap sums; the other constructors
+# stop at core.GENERATOR_WINDOW_CAP)
 FAMILY_GENUS_CAP = 500_000
 
 
@@ -74,7 +75,6 @@ def buchweitz_family(g: int, i: int, a: int | None = None) -> FamilyResult:
     Default a = 2i-5 needs g >= 9i-20; any a > 2i-6 works provided
     g >= 2a-10+5i and 3g+2a+i-10 is even (then h1 is half of it).
     """
-    _check_genus_cap(g)
     if i < 4:
         raise RangeViolation(f"need i >= 4, got {i}")
     if a is None:

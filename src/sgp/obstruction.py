@@ -88,9 +88,7 @@ def bc_test(n: int) -> Callable[[NumericalSemigroup], bool]:
     """``lambda H: H.genus >= 2 and fails_bc(H, n)`` for many semigroups.
 
     n is checked once, here, with fails_bc's ValueError; each call then
-    compares the popcount of the capped sumset with (2n-1)(g-1).  A tree
-    child that carries level n reads it directly, behind the same width
-    cap.
+    compares the popcount of the capped sumset with (2n-1)(g-1).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -98,12 +96,7 @@ def bc_test(n: int) -> Callable[[NumericalSemigroup], bool]:
 
     def fails(H: NumericalSemigroup) -> bool:
         g = H.genus
-        if g < 2:
-            return False
-        sums = H._sumsets
-        bits = (sums[n - 1] if n <= len(sums) and n * H.frobenius <= SUMSET_WIDTH_CAP
-                else _sumset_bits(H, n))
-        return bits.bit_count() > k * (g - 1)
+        return g >= 2 and _sumset_bits(H, n).bit_count() > k * (g - 1)
 
     return fails
 

@@ -407,9 +407,12 @@ def test_walk_derives_generators_only_where_read(monkeypatch):
     assert all(H._min_gens is None for H in nodes)
     assert all(H._small is None for H in nodes)
     assert all(H._eff is None for H in nodes if H.genus == 12)
-    # an emitted leaf derives its generators when they are read
+    # an emitted leaf derives its generators when they are read, and then
+    # lets go of its parent
     leaf = next(H for H in nodes if H.genus == 12 and H.frobenius > 12)
+    assert leaf._parent is not None
     assert leaf.min_generators == NumericalSemigroup(leaf.gaps).min_generators
+    assert leaf._parent is None
     assert built[0] == leaf.gaps
     assert len(derived) == len(expanded) + 1 and derived[-1] == leaf.gaps
 
