@@ -247,7 +247,7 @@ def _parse_genus_range(text: str) -> tuple[int, int]:
         lo_text, hi_text = text.split("..", 1)
     else:
         lo_text = hi_text = text
-    if not (lo_text.isdigit() and hi_text.isdigit()):
+    if not (text.isascii() and lo_text.isdigit() and hi_text.isdigit()):
         raise _UsageError(f"bad genus range {text!r}")
     lo, hi = int(lo_text), int(hi_text)
     if lo > hi:

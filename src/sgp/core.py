@@ -23,7 +23,9 @@ GENERATOR_WINDOW_CAP = 10**7
 # children; all k levels take O(k^2 * frobenius) bits
 SUMSET_CACHED_LEVELS = 8
 # most bit-shifts, levels * genus * n * frobenius, that _sumset spends on the
-# levels it builds: 3x the largest query_mix request (n = 20, F = 4177: 3.3e9)
+# levels it builds: 3x the largest query_mix request (n = 20, F = 4177: 3.3e9).
+# It bounds each built level's width W = n * F below 424,264 bits, as g > F/2:
+# W^2 < 2 * n/(n - built) * work <= 2 * (SUMSET_CACHED_LEVELS + 1) * cap
 SUMSET_WORK_CAP = 10**10
 
 
@@ -401,8 +403,9 @@ def enumerate_genus_range(lo: int, hi: int,
 def parse_semigroup(text: str) -> NumericalSemigroup:
     """Parse the text forms ``gens:4,7`` and ``gaps:1,2,3,5``.
 
-    Values must be ascending positive integers, comma separated with no
-    whitespace; ``gaps:`` with an empty body denotes the naturals.
+    Values must be ascending positive integers in ASCII digits, comma
+    separated with no whitespace; ``gaps:`` with an empty body denotes
+    the naturals.
     """
     if text.startswith("gens:"):
         kind, body = "gens", text[5:]
@@ -412,7 +415,7 @@ def parse_semigroup(text: str) -> NumericalSemigroup:
         raise ValueError(f"semigroup spec must start with 'gens:' or 'gaps:': {text!r}")
     if body:
         tokens = body.split(",")
-        if not all(tok.isdigit() for tok in tokens):
+        if not (body.isascii() and all(tok.isdigit() for tok in tokens)):
             raise ValueError(f"malformed integer list in {text!r}")
         values = [int(tok) for tok in tokens]
         if any(b <= a for a, b in zip(values, values[1:])):

@@ -37,8 +37,9 @@ class NotAnElement(SemigroupError):
 
 
 class CapExceeded(SemigroupError):
-    """A requested size (the genus of an enumeration, the width of a gap
-    sumset or the work to build it) exceeds its configured cap."""
+    """A requested size (the genus of an enumeration or a family, the
+    window of a generator sieve or the work to build a gap sumset) exceeds
+    its configured cap."""
 
 
 class NotPrime(SemigroupError):

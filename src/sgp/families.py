@@ -15,16 +15,16 @@ from typing import Any
 
 from .bounds import coprime_lower_bound, divisor_condition, rho1, rho3
 from .classify import _require_prime, project_by_n, type_verdict
-from .core import NumericalSemigroup, format_semigroup, from_generators, natural_gamma
+from .core import (NumericalSemigroup, _check_sumset_work, format_semigroup,
+                   from_generators, natural_gamma)
 from .errors import (CapExceeded, ClaimFailed, ParityViolation, PreconditionViolated,
                      RangeViolation)
-from .obstruction import (NOT_WEIERSTRASS, check_sumset_caps, gap_sum_profile,
-                          pairing_obstruction)
+from .obstruction import NOT_WEIERSTRASS, gap_sum_profile, pairing_obstruction
 
 # cover_family builds and checks gap lists about g and 2g long, so past this
 # genus it raises CapExceeded before building anything (buchweitz_family stops
-# earlier, at the sumset caps of its pairwise gap sums; the other constructors
-# stop at core.GENERATOR_WINDOW_CAP)
+# earlier, at the sumset work cap of its pairwise gap sums; the other
+# constructors stop at core.GENERATOR_WINDOW_CAP)
 FAMILY_GENUS_CAP = 500_000
 
 
@@ -88,7 +88,7 @@ def buchweitz_family(g: int, i: int, a: int | None = None) -> FamilyResult:
     h1 = (3 * g + 2 * a + i - 10) // 2
     ell = 2 * g - 2 * i + 1
     # the pairwise gap sumset below is the costly part: fail before building
-    check_sumset_caps(2, g, ell)
+    _check_sumset_work(2, g, ell, 0)
     gaps = list(range(1, g - i + 1))
     gaps.extend(h1 - (a + 2 * k) for k in range(i - 2))
     gaps.extend((h1, ell))

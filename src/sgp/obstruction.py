@@ -15,35 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import NumericalSemigroup, _bit_positions, _check_sumset_work
-from .errors import CapExceeded, GenusTooSmall, WrongShape
+from .core import NumericalSemigroup, _bit_positions
+from .errors import GenusTooSmall, WrongShape
 
 NOT_WEIERSTRASS = "not_weierstrass"
 INCONCLUSIVE = "inconclusive"
-# widest n-fold sumset, n * frobenius, that the gap-sum checks will build
-SUMSET_WIDTH_CAP = 10**6
-
-
-def _check_sumset_width(n: int, frobenius: int) -> None:
-    if n * frobenius > SUMSET_WIDTH_CAP:
-        raise CapExceeded(f"sumset width n * frobenius = {n * frobenius} "
-                          f"exceeds cap {SUMSET_WIDTH_CAP}")
-
-
-def check_sumset_caps(n: int, genus: int, frobenius: int) -> None:
-    """Raise CapExceeded unless the n-fold gap sumset of a semigroup of this
-    genus and Frobenius number passes the width cap every gap-sum check
-    shares and the work cap of ``_sumset`` when built from scratch, so a
-    constructor can fail before it builds the semigroup."""
-    _check_sumset_width(n, frobenius)
-    _check_sumset_work(n, genus, frobenius, 0)
-
-
-def _sumset_bits(H: NumericalSemigroup, n: int) -> int:
-    """H's n-fold gap sumset as a bitset, behind the width cap that every
-    gap-sum check shares (and the work cap of ``_sumset``)."""
-    _check_sumset_width(n, H.frobenius)
-    return H._sumset(n)
 
 
 @dataclass(frozen=True)
@@ -81,14 +57,14 @@ def fails_bc(H: NumericalSemigroup, n: int) -> bool:
     over many semigroups uses ``bc_test(n)`` instead.
     """
     bound = _bc_bound(H, n)
-    return _sumset_bits(H, n).bit_count() > bound
+    return H._sumset(n).bit_count() > bound
 
 
 def bc_test(n: int) -> Callable[[NumericalSemigroup], bool]:
     """``lambda H: H.genus >= 2 and fails_bc(H, n)`` for many semigroups.
 
     n is checked once, here, with fails_bc's ValueError; each call then
-    compares the popcount of the capped sumset with (2n-1)(g-1).
+    compares the popcount of the sumset with (2n-1)(g-1).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -96,7 +72,7 @@ def bc_test(n: int) -> Callable[[NumericalSemigroup], bool]:
 
     def fails(H: NumericalSemigroup) -> bool:
         g = H.genus
-        return g >= 2 and _sumset_bits(H, n).bit_count() > k * (g - 1)
+        return g >= 2 and H._sumset(n).bit_count() > k * (g - 1)
 
     return fails
 
@@ -105,7 +81,7 @@ def gap_sum_profile(H: NumericalSemigroup, n: int) -> GapSumProfile:
     """Exact n-fold sumset of the gap set, with repetition allowed."""
     bound = _bc_bound(H, n)
     g = H.genus
-    acc = _sumset_bits(H, n)
+    acc = H._sumset(n)
     sums = []
     bits = acc
     while bits:
@@ -122,10 +98,10 @@ def gap_sum_profile(H: NumericalSemigroup, n: int) -> GapSumProfile:
 def pair_sum_extras(H: NumericalSemigroup) -> tuple[int, ...]:
     """Pairwise gap sums beyond the guaranteed baseline
     {2, ..., last_gap} plus {last_gap + gap}."""
-    profile = gap_sum_profile(H, 2)
+    _bc_bound(H, 2)
     ell = H.frobenius
-    baseline = set(range(2, ell + 1)) | {ell + gap for gap in H.gaps}
-    return tuple(s for s in profile.sums if s not in baseline)
+    baseline = ((1 << (ell + 1)) - 4) | (H._gap_bits() << ell)
+    return _bit_positions(H._sumset(2) & ~baseline)
 
 
 @dataclass(frozen=True)
@@ -148,7 +124,7 @@ def conjectured_gap_sums(H: NumericalSemigroup, n: int) -> ConjecturedSums:
         raise ValueError("need n >= 2")
     if H.genus < 1:
         raise GenusTooSmall("no gaps to sum")
-    actual = _sumset_bits(H, n)
+    actual = H._sumset(n)
     ell = H.frobenius
     # the interval {n, ..., (n-1)*ell}, then every (n-1)*gap_k + gap_j
     predicted = ((1 << ((n - 1) * ell + 1)) - 1) >> n << n

@@ -437,12 +437,28 @@ def test_forked_scan_does_not_load_multiprocessing():
 
 
 def test_obstruct_sumset_cap(capsys):
-    # past the width cap, then inside it but past the work cap
-    for n, cap in (("10000000", "width"), ("40000", "work")):
-        code, out, err = invoke(capsys, "obstruct", "gens:3,4", "--n", n)
+    # wide sumsets (n * frobenius 5 * 10^7 and 1,199,940) and a narrow one
+    # all stop at the one work cap
+    for spec, n in (("gens:3,4", "10000000"), ("gens:2,20001", "60"),
+                    ("gens:3,4", "40000")):
+        code, out, err = invoke(capsys, "obstruct", spec, "--n", n)
         assert code == 2 and err == ""
         error = json.loads(out)["error"]
-        assert error["name"] == "CapExceeded" and f"sumset {cap}" in error["message"]
+        assert error["name"] == "CapExceeded" and "sumset work" in error["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["info", "gens:\u00b2"], "malformed integer list in 'gens:\u00b2'"),
+    (["info", "gens:\u0663,\u0664"], "malformed integer list in 'gens:\u0663,\u0664'"),
+    (["scan", "--genus", "1..\u00b2", "--predicate", "symmetric"],
+     "bad genus range '1..\u00b2'"),
+])
+def test_non_ascii_digits_are_usage_errors(capsys, argv, message):
+    # str.isdigit() accepts superscripts and Arabic-Indic digits; the CLI
+    # takes ASCII digits only
+    code, out, err = invoke(capsys, *argv)
+    assert code == 64 and out == ""
+    assert json.loads(err)["error"] == {"name": "Usage", "message": message}
 
 
 def test_scan_obstruction_predicate(capsys):

@@ -461,6 +461,7 @@ def test_serialization_round_trip():
 
 @pytest.mark.parametrize("bad", [
     "4,7", "gens:4, 7", "gens:7,4", "gaps:1,1", "gens:-2,3", "gens:4;7", "spam:1",
+    "gens:\u00b2", "gens:\u0663,\u0664", "gaps:\uff11",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):

@@ -240,25 +240,22 @@ def test_genus_cap(monkeypatch):
 
 def test_buchweitz_sumset_caps_checked_before_building(monkeypatch):
     # the check, not the blow-up: the pairwise gap sumset of (16, 4) has
-    # genus 16 and frobenius 25, so width 2 * 25 = 50 and work 16 * 2 * 25
+    # genus 16 and frobenius 25, so work 16 * 2 * 25
     import sgp.core
     import sgp.families
-    import sgp.obstruction
 
     def never_built(gaps):
-        raise AssertionError("built a semigroup past the sumset caps")
+        raise AssertionError("built a semigroup past the sumset work cap")
 
     assert buchweitz_family(16, 4).semigroup.gaps == BUCHWEITZ_GAPS
     monkeypatch.setattr(sgp.families, "NumericalSemigroup", never_built)
-    monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", 49)
-    with pytest.raises(CapExceeded, match="n \\* frobenius = 50 exceeds cap 49"):
-        buchweitz_family(16, 4)
-    monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", 50)
+    # the first genus the real cap refuses at i = 4: 50,002 * 2 * 99,997
+    with pytest.raises(CapExceeded, match="work .* = 10000099988 exceeds cap"):
+        buchweitz_family(50_002, 4)
     monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 799)
     with pytest.raises(CapExceeded, match="work .* = 800 exceeds cap 799"):
         buchweitz_family(16, 4)
     monkeypatch.undo()
-    monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", 50)
     monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 800)
     assert buchweitz_family(16, 4).semigroup.gaps == BUCHWEITZ_GAPS
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgp.core import (SUMSET_CACHED_LEVELS, NumericalSemigroup, descendants,
-                      from_gaps, from_generators, tree_children)
+from sgp.core import (SUMSET_CACHED_LEVELS, SUMSET_WORK_CAP, NumericalSemigroup,
+                      _check_sumset_work, descendants, from_gaps, from_generators,
+                      tree_children)
 from sgp.errors import CapExceeded, GenusTooSmall, WrongShape
 from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, bc_test,
                              conjectured_gap_sums, fails_bc, gap_sum_profile,
@@ -59,22 +60,42 @@ def test_profile_guards():
         bc_test(1)
 
 
-def test_sumset_width_cap(monkeypatch):
-    # the check, not the blow-up: n * frobenius against the cap, before any
-    # sumset is built; <3, 4> has frobenius 5
+def test_sumset_width_cap():
+    # the work cap refuses a wide sumset before any level is built; <3, 4>
+    # has genus 3 and frobenius 5
     H = from_generators([3, 4])
-    with pytest.raises(CapExceeded):
-        gap_sum_profile(H, 10**7)
-    import sgp.obstruction
-    monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", 15)
+    for check in (gap_sum_profile, fails_bc, conjectured_gap_sums,
+                  lambda H, n: bc_test(n)(H)):
+        with pytest.raises(CapExceeded, match="sumset work .* exceeds cap"):
+            check(H, 10**7)
+    assert H._sumsets == ()
     assert gap_sum_profile(H, 3).cardinality == len(brute_sums(H.gaps, 3))
     assert fails_bc(H, 3) is False
     assert bc_test(3)(H) is False
     assert conjectured_gap_sums(H, 3).values == tuple(range(3, 13)) + (15,)
-    for check in (gap_sum_profile, fails_bc, conjectured_gap_sums,
-                  lambda H, n: bc_test(n)(H)):
-        with pytest.raises(CapExceeded, match="n \\* frobenius = 20 exceeds cap 15"):
-            check(H, 4)
+
+
+@given(st.integers(2, 10**6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_work_cap_bounds_sumset_width(n, data):
+    # a Frobenius number F needs genus at least (F + 1) / 2, so whatever the
+    # work cap admits is narrower than sqrt(2 * (L + 1) * cap) bits
+    built = data.draw(st.integers(0, min(n - 1, SUMSET_CACHED_LEVELS)))
+    frobenius = data.draw(st.integers(1, 10**6 // n + 1) | st.integers(1, 10**6))
+    try:
+        _check_sumset_work(n, (frobenius + 2) // 2, frobenius, built)
+    except CapExceeded:
+        return
+    width = n * frobenius
+    assert width**2 < 2 * (SUMSET_CACHED_LEVELS + 1) * SUMSET_WORK_CAP < 10**12
+
+
+def test_work_cap_width_boundary():
+    # the widest level the work cap admits: n = 9 from 8 kept levels at the
+    # least genus 23,570 of frobenius 47,139, width 424,251 bits
+    _check_sumset_work(9, 23_570, 47_139, 8)
+    with pytest.raises(CapExceeded, match="= 10000232460 exceeds cap"):
+        _check_sumset_work(9, 23_571, 47_140, 8)
 
 
 def test_sumset_work_cap(monkeypatch):
@@ -172,9 +193,9 @@ def test_bc_test_at_buchweitz_example():
 
 def test_bc_test_reads_carried_levels(monkeypatch):
     # walk down to Buchweitz's example, testing each node on the way, so
-    # the example carries the levels it is tested on; the width cap still
-    # applies to a carried level
-    import sgp.obstruction
+    # the example carries the levels it is tested on; carried levels cost
+    # no work, so they are read even past the work cap
+    import sgp.core
     for n, expected in ((2, True), (3, False), (4, False)):
         test = bc_test(n)
         H = NumericalSemigroup()
@@ -183,9 +204,10 @@ def test_bc_test_reads_carried_levels(monkeypatch):
             H = next(kid for kid in tree_children(H) if kid.frobenius == x)
         assert H.gaps == BUCHWEITZ_GAPS and len(H._sumsets) >= n
         assert test(H) is expected
-        monkeypatch.setattr(sgp.obstruction, "SUMSET_WIDTH_CAP", n * 25 - 1)
-        with pytest.raises(CapExceeded, match="exceeds cap"):
-            test(H)
+        monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 0)
+        assert test(H) is expected
+        with pytest.raises(CapExceeded, match="exceeds cap 0"):
+            test(NumericalSemigroup(H.gaps))
         monkeypatch.undo()
 
 
@@ -270,6 +292,17 @@ def test_pairing_obstruction_buchweitz():
     assert pairing_obstruction(H) == NOT_WEIERSTRASS
     # the six chain sums land beyond the guaranteed baseline
     assert pair_sum_extras(H) == (38, 40, 42, 43, 45, 48)
+
+
+def test_pair_sum_extras_matches_set_reference(by_genus):
+    for g in range(2, 14):
+        for H in by_genus(g):
+            ell = H.frobenius
+            baseline = set(range(2, ell + 1)) | {ell + gap for gap in H.gaps}
+            expected = tuple(s for s in brute_sums(H.gaps, 2) if s not in baseline)
+            assert pair_sum_extras(H) == expected, H.gaps
+    with pytest.raises(GenusTooSmall):
+        pair_sum_extras(from_generators([2, 3]))
 
 
 def test_pairing_obstruction_guards():
