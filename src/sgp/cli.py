@@ -43,6 +43,17 @@ class _UsageError(Exception):
     pass
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits, else ValueError: bare
+    int() also reads other scripts' digits, '+', '_' and whitespace."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+_ascii_int.__name__ = "int"  # argparse reports "invalid int value: ..."
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits with code 2
         raise _UsageError(message)
@@ -95,8 +106,8 @@ def _build_parser() -> _Parser:
 
     p_classify = sub.add_parser("classify", help="type-(N, gamma) verdict")
     p_classify.add_argument("spec")
-    p_classify.add_argument("--N", type=int, required=True)
-    p_classify.add_argument("--gamma", type=int, default=None,
+    p_classify.add_argument("--N", type=_ascii_int, required=True)
+    p_classify.add_argument("--gamma", type=_ascii_int, default=None,
                             help="defaults to the natural gamma for N")
 
     p_bounds = sub.add_parser("bounds", help="evaluate a named bound")
@@ -106,7 +117,7 @@ def _build_parser() -> _Parser:
 
     p_obstruct = sub.add_parser("obstruct", help="gap-sum profile")
     p_obstruct.add_argument("spec")
-    p_obstruct.add_argument("--n", type=int, default=2)
+    p_obstruct.add_argument("--n", type=_ascii_int, default=2)
     p_obstruct.add_argument("--explain", action="store_true",
                             help="list the pairwise sums beyond the baseline")
 
@@ -123,13 +134,13 @@ def _build_parser() -> _Parser:
                         help="a single genus G or an inclusive range LO..HI")
     p_scan.add_argument("--predicate", required=True,
                         help="bc_fail | type:N,GAMMA | symmetric | quasi_symmetric | obstruction")
-    p_scan.add_argument("--n", type=int, default=2, help="sum length for bc_fail")
-    p_scan.add_argument("--parallelism", type=int, default=1)
+    p_scan.add_argument("--n", type=_ascii_int, default=2, help="sum length for bc_fail")
+    p_scan.add_argument("--parallelism", type=_ascii_int, default=1)
 
     p_project = sub.add_parser("project", help="project a type-(N, gamma) semigroup")
     p_project.add_argument("spec")
-    p_project.add_argument("--N", type=int, required=True)
-    p_project.add_argument("--gamma", type=int, default=None)
+    p_project.add_argument("--N", type=_ascii_int, required=True)
+    p_project.add_argument("--gamma", type=_ascii_int, default=None)
     return parser
 
 
@@ -147,7 +158,7 @@ def _cmd_classify(args) -> list[dict[str, Any]]:
 
 def _bound_ints(tokens: list[str]) -> list[int]:
     try:
-        return [int(a) for a in tokens]
+        return [_ascii_int(a) for a in tokens]
     except ValueError:
         raise _UsageError("bound arguments must be integers")
 
@@ -194,7 +205,7 @@ def _int_param(params: dict[str, str], key: str) -> int:
     if key not in params:
         raise _UsageError(f"missing family parameter {key}")
     try:
-        return int(params[key])
+        return _ascii_int(params[key])
     except ValueError:
         raise _UsageError(f"parameter {key} must be an integer, got {params[key]!r}")
 
@@ -261,7 +272,7 @@ def _predicate_fn(spec: str, n: int):
         if len(body) != 2:
             raise UnknownPredicate(f"bad type predicate {spec!r}")
         try:
-            type_n, type_gamma = int(body[0]), int(body[1])
+            type_n, type_gamma = _ascii_int(body[0]), _ascii_int(body[1])
         except ValueError:
             raise UnknownPredicate(f"bad type predicate {spec!r}")
         return type_test(type_n, type_gamma)
@@ -387,7 +398,7 @@ def _cmd_scan(args) -> list[dict[str, Any]]:
     lo, hi = _parse_genus_range(args.genus)
     raw = os.environ.get("SGP_GENUS_CAP", str(DEFAULT_GENUS_CAP))
     try:
-        cap = int(raw)
+        cap = _ascii_int(raw)
     except ValueError:
         raise _UsageError(f"SGP_GENUS_CAP must be an integer, got {raw!r}")
     if hi > cap:

@@ -1,8 +1,8 @@
 """Exact finite representation of numerical semigroups.
 
-The canonical data is the gap set, held as a sorted tuple together with a
-membership bitset over [0, conductor].  Bitsets are plain Python ints
-(bit k set iff k is an element), so everything here is exact integer
+The canonical data is the membership bitset over [0, conductor]: bit k
+set iff k is an element.  The sorted gap tuple is decoded from it.
+Bitsets are plain Python ints, so everything here is exact integer
 arithmetic end to end; nothing ever touches floats.
 """
 
@@ -30,29 +30,29 @@ SUMSET_WORK_CAP = 10**10
 
 
 class NumericalSemigroup:
-    """Cofinite additive subsemigroup of the naturals, keyed by its gap set.
+    """Cofinite additive subsemigroup of the naturals, keyed by its bitset.
 
-    Instances are immutable values: equality and hashing go by the gap
-    tuple.  The constructor validates closure of the complement and raises
-    NotASemigroup(a, b) with a concrete witness when two elements sum to
-    a listed gap.  Tree children skip that sieve: ``tree_children`` builds
-    all of a node's children in one pass over its fields, from its effective
-    generators (the minimal generators above the Frobenius number), whose
-    removal keeps closure.  The elements below the conductor, the effective
-    and the minimal generators and the n-fold gap sumsets are derived on
-    first use and cached, so a node pays only for what is read of it; tree
-    children derive their generators and carry their sumsets from the
-    parent's.
+    Instances are immutable values: equality and hashing go by that
+    bitset, which fixes the gap set.  The constructor validates closure of
+    the complement and raises NotASemigroup(a, b) with a concrete witness
+    when two elements sum to a listed gap.  Tree children skip that sieve:
+    ``tree_children`` builds all of a node's children in one pass over its
+    fields, from its effective generators (the minimal generators above
+    the Frobenius number), whose removal keeps closure.  A tree child's
+    gap tuple, the elements below the conductor, the effective and the
+    minimal generators and the n-fold gap sumsets are derived on first use
+    and cached, so a node pays only for what is read of it; tree children
+    derive their generators and carry their sumsets from the parent's.
     """
 
-    __slots__ = ("gaps", "genus", "frobenius", "conductor", "_member_bits",
+    __slots__ = ("_gaps", "genus", "frobenius", "conductor", "_member_bits",
                  "_small", "_min_gens", "_eff", "_parent", "_sumsets")
 
     def __init__(self, gaps: Iterable[int] = ()):
         gap_list = sorted(set(gaps))
         if gap_list and gap_list[0] < 1:
             raise ValueError("gaps must be positive integers")
-        self.gaps = tuple(gap_list)
+        self._gaps = tuple(gap_list)
         self.genus = len(gap_list)
         self.frobenius = gap_list[-1] if gap_list else -1
         self.conductor = self.frobenius + 1
@@ -88,13 +88,20 @@ class NumericalSemigroup:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumericalSemigroup):
             return NotImplemented
-        return self.gaps == other.gaps
+        return self._member_bits == other._member_bits
 
     def __hash__(self) -> int:
-        return hash(self.gaps)
+        return hash(self._member_bits)
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup(gens={list(self.min_generators)})"
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        """The gaps, ascending; a tree child decodes them on first read."""
+        if self._gaps is None:
+            self._gaps = _bit_positions(self._gap_bits())
+        return self._gaps
 
     @property
     def _small_elements(self) -> tuple[int, ...]:
@@ -154,10 +161,11 @@ class NumericalSemigroup:
             return sums[n - 1]
         _check_sumset_work(n, self.genus, self.frobenius, len(sums))
         levels = list(sums) or [self._gap_bits()]
+        gaps = _bit_positions(levels[0])  # S_1: the gaps, left unread on self
         acc = levels[-1]
         for j in range(len(levels) + 1, n + 1):
             nxt = 0
-            for gap in self.gaps:
+            for gap in gaps:
                 nxt |= acc << gap
             acc = nxt
             if j <= SUMSET_CACHED_LEVELS:
@@ -188,8 +196,8 @@ class NumericalSemigroup:
             eff = self._parent._eff
             eff = eff[eff.index(x) + 1:]
             bits = self._member_bits
-            pos = bits & ~1
-            m = (pos & -pos).bit_length() - 1
+            b = bits >> 1
+            m = (b & -b).bit_length()
             t = x + m
             for a in range(m + 1, t // 2 + 1):
                 if bits >> a & 1 and bits >> (t - a) & 1:
@@ -249,7 +257,8 @@ def _bit_positions(bits: int) -> tuple[int, ...]:
     """Positions of the set bits of ``bits`` >= 0, ascending: the reversed
     bin() digits, as bytes 0 and 1, select from a range in C."""
     flags = bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)
-    return tuple(compress(range(len(flags)), flags))
+    # built from a list: tuples built from iterators pile up on CPython's free lists
+    return tuple([*compress(range(len(flags)), flags)])
 
 
 def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:
@@ -332,8 +341,10 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
     order of x, built in one pass over H's fields.
 
     Removing a minimal generator keeps closure, so no child runs the
-    constructor's sieve.  H's effective generators, gaps, bits and sumsets
-    are read once for all the children.  A child keeps a reference to H,
+    constructor's sieve.  H's effective generators, bits and sumsets are
+    read once for all the children; a child's membership bitset is H's,
+    filled with elements up to x + 1 but for x, and its gap tuple is
+    decoded from it only when read.  A child keeps a reference to H,
     derives its own effective generators from H's when it is expanded in
     turn, and its minimal generators only when they are read
     (``_effective_generators``, ``_derive_min_generators``).
@@ -341,7 +352,6 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
     with S_0' = {0}.
     """
     eff = H._effective_generators()
-    gaps = H.gaps
     genus = H.genus + 1
     sums = H._sumsets
     c = 1 << H.conductor
@@ -352,7 +362,7 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
     kids = []
     for x in eff:
         child = new(NumericalSemigroup)
-        child.gaps = gaps + (x,)
+        child._gaps = None
         child.genus = genus
         child.frobenius = x
         child.conductor = x + 1
@@ -376,13 +386,18 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
 
 def descendants(H: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigroup]:
     """H and all its tree descendants of genus <= max_genus, depth first,
-    children in ascending order of the removed generator."""
+    children in ascending order of the removed generator; the children of a
+    node of genus max_genus - 1 are yielded as built, never pushed."""
     stack = [H] if H.genus <= max_genus else []
     while stack:
         node = stack.pop()
         yield node
-        if node.genus < max_genus:
-            stack.extend(reversed(tree_children(node)))
+        if node.genus == max_genus - 1:
+            yield from tree_children(node)
+        elif node.genus < max_genus:
+            kids = tree_children(node)
+            kids.reverse()
+            stack += kids
 
 
 def enumerate_genus_range(lo: int, hi: int,

@@ -141,7 +141,8 @@ def _pairing_verdict(H: NumericalSemigroup) -> str | None:
     """pairing_obstruction(H), or None where it raises WrongShape.
 
     The shape of the last gap is checked first; only then are the
-    exceptional gaps read, straight from the membership bitset.
+    exceptional gaps read, straight from the membership bitset: always
+    i - 1, as the g - 1 gaps below ell fill g - i pairs {k, ell - k}, >= 1 each.
     """
     g = H.genus
     ell = H.frobenius
@@ -154,8 +155,6 @@ def _pairing_verdict(H: NumericalSemigroup) -> str | None:
     # descending: the gaps h in (g - i, ell) whose mirror ell - h is a gap too
     hs = tuple(h for h in range(ell - 1, g - i, -1)
                if not bits >> h & 1 and not bits >> (ell - h) & 1)
-    if len(hs) != i - 1:
-        return None
     if not hs[0] + hs[-1] > 2 * hs[1]:
         return INCONCLUSIVE
     pairs = [(1, v) for v in range(1, i)]

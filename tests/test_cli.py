@@ -214,6 +214,58 @@ def test_scan_parallel_output_identical(capsys, monkeypatch, time_limit):
     assert_no_children()
 
 
+def test_scan_decodes_gaps_only_for_printed_rows(capsys, monkeypatch):
+    # a tree node decodes its gap tuple when it is read, and a scan reads
+    # it only for the rows it prints, bc_fail's sumsets included
+    import sgp.cli
+    original = sgp.cli.descendants
+    seen = []
+
+    def recording(root, max_genus):
+        for H in original(root, max_genus):
+            seen.append(H)
+            yield H
+
+    monkeypatch.setattr(sgp.cli, "descendants", recording)
+    for predicate in (["symmetric"], ["bc_fail", "--n", "2"], ["bc_fail", "--n", "3"],
+                      ["obstruction"], ["type:2,1"]):
+        seen.clear()
+        code, out, _ = invoke(capsys, "scan", "--genus", "11..16",
+                              "--predicate", *predicate, "--parallelism", "1")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        decoded = sorted(H.gaps for H in seen if H._gaps is not None)
+        assert sum(H.genus >= 11 for H in seen) == rows[-1]["scanned"]
+        assert decoded == sorted(tuple(r["gaps"]) for r in rows[:-1]), predicate
+
+
+def test_integer_arguments_are_ascii(capsys, monkeypatch):
+    # int() alone reads any script's digits; every integer the CLI reads
+    # is an optional '-' and ASCII digits, so these are usage errors
+    for argv in (["obstruct", "gens:3,4,5", "--n", "\u0663"],
+                 ["family", "buchweitz", "--params", "g=\u0661\u0666", "i=4"],
+                 ["scan", "--genus", "3", "--predicate", "type:\u0662,0"],
+                 ["bounds", "eval", "rho3", "\u0662", "1"],
+                 ["scan", "--genus", "3", "--predicate", "symmetric",
+                  "--parallelism", "\u0662"],
+                 ["classify", "gens:4,7", "--N", "+2"],
+                 ["obstruct", "gens:3,4,5", "--n", " 3"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 64 and out == "", argv
+        assert json.loads(err)["error"]["name"] in ("Usage", "UnknownPredicate"), argv
+    monkeypatch.setenv("SGP_GENUS_CAP", "\u0665")
+    code, _, err = invoke(capsys, "scan", "--genus", "3", "--predicate", "symmetric")
+    assert code == 64 and "SGP_GENUS_CAP" in err
+    monkeypatch.delenv("SGP_GENUS_CAP")
+    # the sign is kept, so negative values reach the checks that reject them
+    code, _, err = invoke(capsys, "obstruct", "gens:3,4,5", "--n", "-1")
+    assert code == 64 and json.loads(err)["error"]["message"] == "need n >= 2"
+    code, out, _ = invoke(capsys, "bounds", "eval", "rho3", "-2", "1")
+    assert code == 2 and json.loads(out)["error"]["name"] == "PreconditionViolated"
+    code, out, _ = invoke(capsys, "obstruct", "gens:3,4,5", "--n", "3")
+    assert code == 0 and json.loads(out)["n"] == 3
+
+
 def test_scan_walks_tree_once(capsys, monkeypatch):
     import sgp.core
     original = sgp.core.tree_children

@@ -379,19 +379,20 @@ def test_children_builder_matches_child_exhaustive():
 def test_walk_derives_generators_only_where_read(monkeypatch):
     # a walk to genus 12 expands the nodes of genus < 12 and reads nothing
     # else: effective generators are derived for exactly those, no node
-    # builds its full generator tuple, and no node decodes its small elements
+    # builds its full generator tuple, and no node decodes its small
+    # elements or, below the root, its gap tuple
     derived = []
     built = []
     original = NumericalSemigroup._effective_generators
 
     def counting(self):
         if self._eff is None:
-            derived.append(self.gaps)
+            derived.append(self)
         return original(self)
 
     def building(method):
         def wrapped(self):
-            built.append(self.gaps)
+            built.append(self)
             return method(self)
         return wrapped
 
@@ -400,21 +401,24 @@ def test_walk_derives_generators_only_where_read(monkeypatch):
         monkeypatch.setattr(NumericalSemigroup, name,
                             building(getattr(NumericalSemigroup, name)))
     nodes = list(descendants(NumericalSemigroup(), 12))
-    expanded = [H.gaps for H in nodes if H.genus < 12]
+    expanded = [H for H in nodes if H.genus < 12]
     assert len(nodes) == sum((1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592))
-    assert sorted(derived) == sorted(expanded)
+    assert len(derived) == len(expanded)
+    assert {id(H) for H in derived} == {id(H) for H in expanded}
     assert built == []
     assert all(H._min_gens is None for H in nodes)
     assert all(H._small is None for H in nodes)
     assert all(H._eff is None for H in nodes if H.genus == 12)
+    assert nodes[0]._gaps == () and all(H._gaps is None for H in nodes[1:])
     # an emitted leaf derives its generators when they are read, and then
     # lets go of its parent
     leaf = next(H for H in nodes if H.genus == 12 and H.frobenius > 12)
     assert leaf._parent is not None
     assert leaf.min_generators == NumericalSemigroup(leaf.gaps).min_generators
     assert leaf._parent is None
-    assert built[0] == leaf.gaps
-    assert len(derived) == len(expanded) + 1 and derived[-1] == leaf.gaps
+    assert built[0] is leaf
+    assert len(derived) == len(expanded) + 1 and derived[-1] is leaf
+    assert sum(H._gaps is not None for H in nodes[1:]) == 1
 
 
 def test_deep_chain_derives_generators_without_recursion():
@@ -436,6 +440,20 @@ def test_walk_matches_a007323_through_genus_20():
         counts[H.genus] += 1
     assert counts == [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001,
                       1693, 2857, 4806, 8045, 13467, 22464, 37396]
+
+
+def test_nodes_equal_and_hash_as_their_gap_sets():
+    # equality and hashing go by the membership bitset, so a tree node
+    # equals the semigroup built from its gaps before its gap tuple is
+    # decoded, and reading that tuple gives the same gaps
+    for H in descendants(NumericalSemigroup(), 13):
+        ref = from_gaps(_bit_positions(H._gap_bits()))
+        assert H == ref and hash(H) == hash(ref), ref.gaps
+        assert H.genus == 0 or H._gaps is None
+        assert H.gaps == ref.gaps and from_gaps(H.gaps) == H
+    assert NumericalSemigroup() != from_gaps([1])
+    assert len({from_gaps([1, 2]), from_gaps([1, 3]),
+                *tree_children(from_gaps([1]))}) == 2
 
 
 def test_round_trip(by_genus):

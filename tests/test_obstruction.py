@@ -407,3 +407,21 @@ def test_pairing_obstruction_matches_profile_version_exhaustive():
         seen[want] += 1
     # every outcome occurs, so the comparison is not vacuous
     assert min(seen.values()) > 0
+
+
+def test_exceptional_gap_count_is_forced_exhaustive():
+    # _pairing_verdict reads i - 1 exceptional gaps without counting them:
+    # with last gap ell = 2g - 2i + 1, the g - 1 gaps below ell fill the
+    # g - i pairs {k, ell - k}, one at least in each, so exactly i - 1
+    # pairs are all gaps, and each has its larger gap in (g - i, ell)
+    shapes = 0
+    for H in descendants(NumericalSemigroup(), 16):
+        g, ell = H.genus, H.frobenius
+        if g == 0 or ell % 2 == 0:
+            continue
+        i = g - ell // 2
+        hs = [h for h in range(ell - 1, g - i, -1)
+              if h not in H and ell - h not in H]
+        assert len(hs) == i - 1, H.gaps
+        shapes += i >= 4
+    assert shapes > 0
