@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .core import NumericalSemigroup, natural_gamma
-from .errors import (ClaimFailed, DegenerateDenominator, NonIntegerRho4, NotCoprime,
+from .errors import (DegenerateDenominator, NonIntegerRho4, NotCoprime,
                      PreconditionViolated)
 
 
@@ -66,20 +66,12 @@ def compositum_bound(n1: int, g1: int, n2: int, g2: int) -> int:
 def coprime_lower_bound(H: NumericalSemigroup, n: int) -> int:
     """Least possible element coprime to n: ceil((2g - 2n*gamma_n)/(n-1)) + 1.
 
-    Also rescans H and raises ClaimFailed if an element falls below the
-    bound, so calling it doubles as a check of the underlying theorem.
+    Every element of H coprime to n is at least this bound.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    gamma = natural_gamma(H, n)
-    num = 2 * H.genus - 2 * n * gamma
-    bound = -(-num // (n - 1)) + 1
-    for h in range(1, H.conductor + n + 1):
-        if h in H and math.gcd(h, n) == 1:
-            if h < bound:
-                raise ClaimFailed(f"coprime_lower_bound: element {h} is below "
-                                  f"the bound {bound}")
-    return bound
+    num = 2 * H.genus - 2 * n * natural_gamma(H, n)
+    return -(-num // (n - 1)) + 1
 
 
 def jenkins_bound(m: int, n: int) -> int:

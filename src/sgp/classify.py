@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .bounds import divisor_condition, rho1, rho3
 from .core import NumericalSemigroup, natural_gamma
-from .errors import (ClaimFailed, GenusZero, NonDivisibleElement, NotPrime,
-                     PreconditionViolated)
+from .errors import GenusZero, NotPrime, PreconditionViolated
 
 
 def is_prime(n: int) -> bool:
@@ -126,46 +125,6 @@ def type_test(N: int, gamma: int) -> Callable[[NumericalSemigroup], bool]:
     return is_type
 
 
-def tail_structure(H: NumericalSemigroup, N: int, gamma: int) -> bool:
-    """Given conditions (a) and (c), check the forced consequences: every
-    (2*gamma+i)N with i >= 1 is an element, 2N*gamma is an element, and
-    gamma equals the count of gaps divisible by N.
-
-    These are theorems for any valid input; the operation verifies rather
-    than assumes them, so exhaustive callers double as a proof check.
-    """
-    v = type_verdict(H, N, gamma)
-    if not (v.cond_a and v.cond_c):
-        raise PreconditionViolated("conditions (a) and (c) must hold")
-    if 2 * N * gamma not in H or natural_gamma(H, N) != gamma:
-        return False
-    k = 2 * gamma + 1
-    while k * N <= H.frobenius:
-        if k * N not in H:
-            return False
-        k += 1
-    return True
-
-
-class GammaFit(NamedTuple):
-    gamma_n: int
-    cond_a: bool
-    cond_c: bool
-    has_tail_element: bool
-
-
-def natural_gamma_fit(H: NumericalSemigroup, N: int) -> GammaFit:
-    """The natural gamma for N, plus the three facts that must hold with it:
-    conditions (a) and (c) and membership of 2N*gamma_n.
-
-    All three flags are True for every semigroup; returning them makes the
-    theorem exhaustively testable.
-    """
-    gamma = natural_gamma(H, N)
-    v = type_verdict(H, N, gamma)
-    return GammaFit(gamma, v.cond_a, v.cond_c, 2 * N * gamma in H)
-
-
 def exclusive_types(N: int, gamma: int, M: int, r: int) -> bool:
     """True iff 2(gamma+r)M > (2*gamma+r)N, the hypothesis under which no
     semigroup is both of type (N, gamma) and of type (M, gamma+r)."""
@@ -176,46 +135,36 @@ def exclusive_types(N: int, gamma: int, M: int, r: int) -> bool:
 
 def is_type_by_tail(H: NumericalSemigroup, N: int) -> bool:
     """Sufficient condition: every element not divisible by N exceeds
-    2N*gamma_n.  When it holds, H is of type (N, gamma_n); the implication
-    is checked and ClaimFailed raised if it does not hold."""
+    2N*gamma_n.  When it holds, H is of type (N, gamma_n)."""
     gamma = natural_gamma(H, N)
-    hyp = all(h % N == 0 for h in range(1, 2 * N * gamma + 1) if h in H)
-    if hyp and not type_verdict(H, N, gamma).is_type:
-        raise ClaimFailed(f"is_type_by_tail: the hypothesis holds but H is not "
-                          f"of type ({N}, {gamma})")
-    return hyp
+    return all(h % N == 0 for h in range(1, 2 * N * gamma + 1) if h in H)
 
 
 def is_type_by_genus(H: NumericalSemigroup, N: int) -> bool:
     """Sufficient condition for prime N: genus > N^2*gamma_n - N + 1.
-    When it holds, H is of type (N, gamma_n); the implication is checked and
-    ClaimFailed raised if it does not hold."""
+    When it holds, H is of type (N, gamma_n)."""
     _require_prime(N)
     gamma = natural_gamma(H, N)
-    hyp = H.genus > rho1(2 * gamma, N, gamma)
-    if hyp and not type_verdict(H, N, gamma).is_type:
-        raise ClaimFailed(f"is_type_by_genus: genus {H.genus} is above the bound "
-                          f"but H is not of type ({N}, {gamma})")
-    return hyp
+    return H.genus > rho1(2 * gamma, N, gamma)
 
 
 def leading_gcd(H: NumericalSemigroup, N: int, A: int) -> int:
     """gcd of the first A - gamma_n positive elements; equals N under the
-    preconditions (type (N, gamma_n), A >= gamma+1, genus > rho1(A, N, gamma))."""
+    preconditions (type (N, gamma_n), A >= 2*gamma+1, genus > rho1(A, N, gamma)).
+
+    Below A = 2*gamma + 1 the elements read can share a larger factor (at
+    A - gamma = 1 the gcd is the multiplicity), so a smaller A raises
+    PreconditionViolated.
+    """
     _require_prime(N)
     gamma = natural_gamma(H, N)
     if not type_verdict(H, N, gamma).is_type:
         raise PreconditionViolated("H is not of type (N, gamma_n)")
-    if A < gamma + 1:
-        raise PreconditionViolated("need A >= gamma + 1")
+    if A < 2 * gamma + 1:
+        raise PreconditionViolated("need A >= 2*gamma + 1")
     if H.genus <= rho1(A, N, gamma):
         raise PreconditionViolated("need genus > rho1(A, N, gamma)")
-    d = 0
-    for i in range(1, A - gamma + 1):
-        d = gcd(d, H.element_at(i))
-    if d != N:
-        raise ClaimFailed(f"leading_gcd: expected {N}, got {d}")
-    return d
+    return gcd(*(H.element_at(i) for i in range(1, A - gamma + 1)))
 
 
 @dataclass(frozen=True)
@@ -226,15 +175,13 @@ class SymmetryProfile:
     descending, the gaps h strictly between g-i and the last gap whose
     mirror last_gap - h is also a gap (the pairs excluded from the
     pairing), plus the self-paired middle gap g-i when the last gap is
-    even.  Closure forces exactly i-1 excluded pairs (two elements cannot
-    mirror each other, since they would sum to the last gap); irregular
-    stays as a defensive flag for that count.
+    even.  Closure forces exactly i-1 excluded pairs, since two elements
+    cannot mirror each other: they would sum to the last gap.
     """
 
     kind: str  # symmetric | quasi_symmetric | general
     i: int
     exceptional_gaps: tuple[int, ...]
-    irregular: bool
 
 
 def symmetry_profile(H: NumericalSemigroup) -> SymmetryProfile:
@@ -252,17 +199,7 @@ def symmetry_profile(H: NumericalSemigroup) -> SymmetryProfile:
         kind = "general"
     window = tuple(h for h in reversed(H.gaps)
                    if g - i < h < ell and ell - h not in H)
-    exceptional = window + ((g - i,) if even else ())
-    if kind == "symmetric":
-        # full pairing: h is an element iff ell - h is a gap
-        for h in range(ell + 1):
-            if (h in H) == (ell - h in H):
-                raise ClaimFailed(f"symmetry_profile: {h} and {ell - h} are "
-                                  f"both elements or both gaps")
-    if even and g - i in H:  # ell/2 is always a gap when ell is even
-        raise ClaimFailed(f"symmetry_profile: half the last gap, {g - i}, "
-                          f"is an element")
-    return SymmetryProfile(kind, i, exceptional, len(window) != i - 1)
+    return SymmetryProfile(kind, i, window + ((g - i,) if even else ()))
 
 
 def arithmetic_cover_criterion(H: NumericalSemigroup, N: int, gamma: int) -> bool:
@@ -282,16 +219,12 @@ def arithmetic_cover_criterion(H: NumericalSemigroup, N: int, gamma: int) -> boo
 
 def project_by_n(H: NumericalSemigroup, N: int, gamma: int) -> NumericalSemigroup:
     """Project a type-(N, gamma) semigroup to genus gamma: divide the first
-    gamma elements by N and keep the full tail from 2*gamma on."""
+    gamma elements by N and keep the full tail from 2*gamma on.
+
+    Conditions (a) and (b) make those elements multiples of N, the last
+    one 2N*gamma, so their quotients leave exactly gamma gaps below 2*gamma.
+    """
     if not type_verdict(H, N, gamma).is_type:
         raise PreconditionViolated("H is not of type (N, gamma)")
-    head = set()
-    for i in range(1, gamma + 1):
-        m = H.element_at(i)
-        if m % N:
-            raise NonDivisibleElement(f"element m_{i} = {m} is not a multiple of {N}")
-        head.add(m // N)
-    result = NumericalSemigroup(x for x in range(1, 2 * gamma) if x not in head)
-    if result.genus != gamma:
-        raise ClaimFailed(f"project_by_n: expected genus {gamma}, got {result.genus}")
-    return result
+    head = {H.element_at(i) // N for i in range(1, gamma + 1)}
+    return NumericalSemigroup(x for x in range(1, 2 * gamma) if x not in head)

@@ -170,7 +170,7 @@ def _cmd_bounds(args) -> list[dict[str, Any]]:
             raise _UsageError("coprime_lower takes a semigroup spec and N")
         H = parse_semigroup(args.args[0])
         n, = _bound_ints(args.args[1:])
-        value = bounds_mod.coprime_lower_bound(H, n)  # re-checks every element
+        value = bounds_mod.coprime_lower_bound(H, n)
         report = bounds_mod.BoundReport("coprime_lower",
                                         (H.genus, natural_gamma(H, n), n), value,
                                         hypothesis_met=True)

@@ -50,11 +50,6 @@ class PreconditionViolated(SemigroupError):
     """A stated precondition of the operation does not hold."""
 
 
-class NonDivisibleElement(SemigroupError):
-    """Internal error: a leading element is not a multiple of N where the
-    type structure guarantees it must be."""
-
-
 class GenusZero(SemigroupError):
     """The operation is undefined for the full semigroup of naturals."""
 
@@ -77,8 +72,8 @@ class NotCoprime(SemigroupError):
 
 
 class WrongShape(SemigroupError):
-    """The semigroup does not have the last-gap/exceptional-gap shape the
-    pairing obstruction needs."""
+    """The semigroup does not have the last-gap shape the pairing
+    obstruction needs."""
 
 
 class ParityViolation(SemigroupError):
@@ -98,5 +93,5 @@ class WorkerFailed(SemigroupError):
 
 
 class ClaimFailed(SemigroupError):
-    """A family construction, or a check of a theorem, produced an object
-    violating one of its asserted properties."""
+    """A family construction produced an object violating one of its
+    asserted properties."""

@@ -41,7 +41,7 @@ class GapSumProfile:
 
 def _bc_bound(H: NumericalSemigroup, n: int) -> int:
     """Buchweitz's bound (2n-1)(g-1) on the size of the n-fold gap sumset,
-    behind the guards that fails_bc and gap_sum_profile share."""
+    behind the guards that gap_sum_profile and pair_sum_extras share."""
     if n < 2:
         raise ValueError("need n >= 2")
     if H.genus < 2:
@@ -49,22 +49,13 @@ def _bc_bound(H: NumericalSemigroup, n: int) -> int:
     return (2 * n - 1) * (H.genus - 1)
 
 
-def fails_bc(H: NumericalSemigroup, n: int) -> bool:
-    """``not gap_sum_profile(H, n).passes_bc``, from the popcount of the
-    sumset bits instead of a decode of every sum.
-
-    Raises ValueError for n < 2 and GenusTooSmall below genus 2; a scan
-    over many semigroups uses ``bc_test(n)`` instead.
-    """
-    bound = _bc_bound(H, n)
-    return H._sumset(n).bit_count() > bound
-
-
 def bc_test(n: int) -> Callable[[NumericalSemigroup], bool]:
-    """``lambda H: H.genus >= 2 and fails_bc(H, n)`` for many semigroups.
+    """``lambda H: H.genus >= 2 and not gap_sum_profile(H, n).passes_bc``
+    for many semigroups.
 
-    n is checked once, here, with fails_bc's ValueError; each call then
-    compares the popcount of the sumset with (2n-1)(g-1).
+    n is checked once, here, with gap_sum_profile's ValueError; each call
+    then compares the popcount of the sumset with (2n-1)(g-1) instead of
+    decoding every sum.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -104,45 +95,13 @@ def pair_sum_extras(H: NumericalSemigroup) -> tuple[int, ...]:
     return _bit_positions(H._sumset(2) & ~baseline)
 
 
-@dataclass(frozen=True)
-class ConjecturedSums:
-    """The closed-form candidate for G_n and how it compares to the truth.
-
-    values is {n, ..., (n-1)*last_gap} united with all (n-1)*gap_k + gap_j.
-    subset_of_actual and equals_actual compare it with the computed sumset;
-    in_regime marks last_gap <= 2g-2, where the closed form is meaningful.
-    """
-
-    values: tuple[int, ...]
-    subset_of_actual: bool
-    equals_actual: bool
-    in_regime: bool
-
-
-def conjectured_gap_sums(H: NumericalSemigroup, n: int) -> ConjecturedSums:
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if H.genus < 1:
-        raise GenusTooSmall("no gaps to sum")
-    actual = H._sumset(n)
-    ell = H.frobenius
-    # the interval {n, ..., (n-1)*ell}, then every (n-1)*gap_k + gap_j
-    predicted = ((1 << ((n - 1) * ell + 1)) - 1) >> n << n
-    gap_bits = H._gap_bits()
-    for gk in H.gaps:
-        predicted |= gap_bits << ((n - 1) * gk)
-    return ConjecturedSums(_bit_positions(predicted),
-                           predicted & ~actual == 0,
-                           predicted == actual,
-                           ell <= 2 * H.genus - 2)
-
-
 def _pairing_verdict(H: NumericalSemigroup) -> str | None:
     """pairing_obstruction(H), or None where it raises WrongShape.
 
-    The shape of the last gap is checked first; only then are the
-    exceptional gaps read, straight from the membership bitset: always
-    i - 1, as the g - 1 gaps below ell fill g - i pairs {k, ell - k}, >= 1 each.
+    WrongShape depends only on g and the last gap.  The exceptional gaps are
+    read straight from the membership bitset, with no count to check:
+    there are always i - 1, as the g - 1 gaps below ell fill the g - i
+    pairs {k, ell - k}, at least one in each.
     """
     g = H.genus
     ell = H.frobenius
@@ -171,9 +130,9 @@ def _pairing_verdict(H: NumericalSemigroup) -> str | None:
 def pairing_obstruction(H: NumericalSemigroup) -> str:
     """Rule H out as a Weierstrass semigroup from its exceptional gaps.
 
-    Requires last gap 2g-2i+1 with i >= 4 and the i-1 pairing-violating
-    gaps h_1 > ... > h_{i-1}: the gaps strictly between g-i and the last
-    gap whose mirror last_gap - h is also a gap.  If
+    Requires last gap 2g-2i+1 with i >= 4.  H then has exactly i-1
+    pairing-violating gaps h_1 > ... > h_{i-1}: the gaps strictly between
+    g-i and the last gap whose mirror last_gap - h is also a gap.  If
     h_1 + h_{i-1} > 2 h_2, and 2*last_gap - h_u - h_v is a gap for every
     pair on the two descending sum chains (h_1 against everything, then
     the consecutive chain among h_2, ..., h_{i-1}), the pairwise sumset
@@ -188,7 +147,7 @@ def pairing_obstruction(H: NumericalSemigroup) -> str:
     """
     verdict = _pairing_verdict(H)
     if verdict is None:
-        raise WrongShape("need last gap 2g-2i+1 with i >= 4 and i-1 exceptional gaps")
+        raise WrongShape("need last gap 2g-2i+1 with i >= 4")
     return verdict
 
 

@@ -19,8 +19,7 @@ from itertools import combinations, combinations_with_replacement
 
 from sgp.bounds import (castelnuovo_c, coprime_lower_bound, divisor_condition,
                         rho1, rho3, rho4, rho4_u)
-from sgp.classify import (natural_gamma_fit, project_by_n, tail_structure,
-                          type_verdict)
+from sgp.classify import project_by_n, type_verdict
 from sgp.cli import run as cli_run
 from sgp.core import from_gaps, from_generators, natural_gamma
 from sgp.families import (buchweitz_family, cover_family,
@@ -96,8 +95,8 @@ def test_coprime_element_bound_exhaustive(by_genus):
     for g in range(13):
         for H in by_genus(g):
             for n in (2, 3, 5, 7):
-                bound = coprime_lower_bound(H, n)  # re-asserts internally
-                for h in range(1, 2 * g + 1):
+                bound = coprime_lower_bound(H, n)
+                for h in range(1, H.conductor + n + 1):
                     if h in H and math.gcd(h, n) == 1:
                         assert h >= bound
                         checked += 1
@@ -117,8 +116,10 @@ def test_gamma_fit_and_forced_structure(by_genus):
     for g in range(13):
         for H in by_genus(g):
             for n in range(1, 8):
-                fit = natural_gamma_fit(H, n)
-                assert fit.cond_a and fit.cond_c and fit.has_tail_element
+                # gamma_n always fits (a) and (c), and 2N*gamma_n is an element
+                gamma = natural_gamma(H, n)
+                v = type_verdict(H, n, gamma)
+                assert v.cond_a and v.cond_c and 2 * n * gamma in H, (H.gaps, n)
                 fits += 1
     for g in range(13):
         for H in by_genus(g):
@@ -126,8 +127,11 @@ def test_gamma_fit_and_forced_structure(by_genus):
                 for gamma in range(7):
                     v = type_verdict(H, n, gamma)
                     if v.cond_a and v.cond_c:
-                        assert tail_structure(H, n, gamma)
-                        assert natural_gamma(H, n) == gamma
+                        # (a) and (c) force gamma = gamma_n, and every kN
+                        # from 2N*gamma on is an element
+                        assert natural_gamma(H, n) == gamma, (H.gaps, n, gamma)
+                        assert all(k * n in H for k in
+                                   range(2 * gamma, H.frobenius // n + 1)), (H.gaps, n)
                         pairs += 1
     _report("gamma_fit_and_forced_structure", True,
             f"{fits} gamma fits, {pairs} (a)+(c) grid points verified")

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sgp.classify
+from sgp.bounds import rho1
 from sgp.classify import (TypeVerdict, arithmetic_cover_criterion,
                           exclusive_types, is_prime, is_type_by_genus,
-                          is_type_by_tail, leading_gcd, natural_gamma_fit,
-                          project_by_n, symmetry_profile, tail_structure,
-                          type_test, type_verdict)
-from sgp.core import NumericalSemigroup, from_gaps, from_generators, natural_gamma
-from sgp.errors import ClaimFailed, GenusZero, NotPrime, PreconditionViolated
+                          is_type_by_tail, leading_gcd, project_by_n,
+                          symmetry_profile, type_test, type_verdict)
+from sgp.core import from_gaps, from_generators, natural_gamma
+from sgp.errors import GenusZero, NotPrime, PreconditionViolated
 
 BUCHWEITZ_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
 
@@ -113,20 +112,6 @@ def test_type_test_widens_its_mask():
         type_test(2, -1)
 
 
-def test_tail_structure():
-    assert tail_structure(from_generators([4, 6, 17]), 2, 1)
-    assert tail_structure(from_generators([1]), 3, 0)
-    assert tail_structure(from_generators([2, 5]), 2, 0)
-    with pytest.raises(PreconditionViolated):
-        tail_structure(from_generators([4, 7]), 2, 1)  # cond_c fails
-
-
-def test_natural_gamma_fit_examples():
-    assert natural_gamma_fit(from_generators([4, 7]), 2) == (3, True, True, True)
-    assert natural_gamma_fit(from_generators([2, 3]), 5) == (0, True, True, True)
-    assert natural_gamma_fit(from_generators([3, 5]), 3) == (0, True, True, True)
-
-
 def test_exclusive_types():
     assert exclusive_types(2, 1, 2, 1) is True
     assert exclusive_types(100, 0, 1, 1) is False
@@ -162,12 +147,15 @@ def test_is_type_by_genus():
 
 
 def test_is_type_by_genus_exhaustive(by_genus):
-    # the implication check inside the call must never raise ClaimFailed
-    for g in range(10):
+    # either sufficient condition makes H of type (n, gamma_n)
+    held = 0
+    for g in range(15):
         for H in by_genus(g):
             for n in (2, 3, 5, 7):
-                is_type_by_tail(H, n)
-                is_type_by_genus(H, n)
+                if is_type_by_tail(H, n) or is_type_by_genus(H, n):
+                    assert type_verdict(H, n, natural_gamma(H, n)).is_type, (H.gaps, n)
+                    held += 1
+    assert held > 0
 
 
 def test_leading_gcd():
@@ -179,14 +167,38 @@ def test_leading_gcd():
         leading_gcd(from_generators([4, 7]), 2, 3)  # not of type (2, gamma_2)
     with pytest.raises(PreconditionViolated):
         leading_gcd(H, 2, 20)  # genus too small for this A
+    # type (2, 4) and genus 13 > rho1(5, 2, 4) = 12, but A - gamma = 1 reads
+    # only the multiplicity 10
+    H = from_generators([10, 12, 14, 16, 18, 19, 21, 23, 25, 27])
+    with pytest.raises(PreconditionViolated, match="need A >= 2"):
+        leading_gcd(H, 2, 5)
+
+
+def test_leading_gcd_exhaustive(by_genus):
+    # every admissible A gives gcd N; the A below 2*gamma + 1 are refused
+    calls = 0
+    for g in range(15):
+        for H in by_genus(g):
+            for n in (2, 3, 5, 7):
+                gamma = natural_gamma(H, n)
+                if not type_verdict(H, n, gamma).is_type:
+                    continue
+                for A in range(gamma + 1, 2 * gamma + 1):
+                    with pytest.raises(PreconditionViolated):
+                        leading_gcd(H, n, A)
+                A = 2 * gamma + 1
+                while g > rho1(A, n, gamma):
+                    assert leading_gcd(H, n, A) == n, (H.gaps, n, A)
+                    calls += 1
+                    A += 1
+    assert calls > 0
 
 
 def test_symmetry_profile_examples():
     p = symmetry_profile(from_generators([2, 5]))
-    assert (p.kind, p.i, p.exceptional_gaps, p.irregular) == ("symmetric", 1, (), False)
+    assert (p.kind, p.i, p.exceptional_gaps) == ("symmetric", 1, ())
     p = symmetry_profile(from_gaps(BUCHWEITZ_GAPS))
     assert (p.kind, p.i, p.exceptional_gaps) == ("general", 4, (24, 21, 19))
-    assert not p.irregular
     p = symmetry_profile(from_generators([3, 4, 5]))
     assert (p.kind, p.i, p.exceptional_gaps) == ("quasi_symmetric", 1, (1,))
     with pytest.raises(GenusZero):
@@ -197,18 +209,25 @@ def test_symmetry_profile_excludes_paired_window_gaps():
     # 4 is a window gap but its mirror 7 - 4 = 3 is an element, so only 5
     # (mirror 2, a gap) breaks the pairing
     p = symmetry_profile(from_gaps([1, 2, 4, 5, 7]))
-    assert p.i == 2 and p.exceptional_gaps == (5,) and not p.irregular
+    assert p.i == 2 and p.exceptional_gaps == (5,)
     # window gaps {9, 10, 11, 13}: the mirror of 9 is the element 8
     p = symmetry_profile(from_gaps([1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 17]))
-    assert p.i == 4 and p.exceptional_gaps == (13, 11, 10) and not p.irregular
+    assert p.i == 4 and p.exceptional_gaps == (13, 11, 10)
 
 
 def test_symmetry_kinds_exhaustive(by_genus):
-    for g in range(1, 13):
+    for g in range(1, 15):
         for H in by_genus(g):
-            p = symmetry_profile(H)  # symmetric case re-verifies the pairing
-            # closure forces exactly i-1 broken pairs, so never irregular
-            assert not p.irregular
+            p = symmetry_profile(H)
+            ell = H.frobenius
+            # closure forces exactly i-1 broken pairs, and an even last gap
+            # has its half as a gap
+            assert len(p.exceptional_gaps) == p.i - 1 + (ell % 2 == 0), H.gaps
+            if ell % 2 == 0:
+                assert ell // 2 not in H and p.exceptional_gaps[-1] == ell // 2
+            if p.kind == "symmetric":
+                # h is an element iff ell - h is a gap
+                assert all((h in H) != (ell - h in H) for h in range(ell + 1)), H.gaps
             if H.frobenius == 2 * g - 1:
                 assert p.kind == "symmetric" and p.i == 1 and p.exceptional_gaps == ()
             elif H.frobenius == 2 * g - 2:
@@ -234,59 +253,20 @@ def test_project_by_n():
 
 
 def test_project_preserves_genus(by_genus):
-    for g in range(10):
+    # for every gamma where H is of type (n, gamma), the first gamma
+    # elements are multiples of n and their quotients leave gamma gaps
+    projected = 0
+    for g in range(16):
         for H in by_genus(g):
-            for n in (2, 3):
-                gamma = natural_gamma(H, n)
-                if type_verdict(H, n, gamma).is_type:
-                    assert project_by_n(H, n, gamma).genus == gamma
-
-
-# The theorem checks raise ClaimFailed rather than assert, so that they
-# still run under python -O; each test below forces one of them to fail.
-
-def _type_verdict_says(monkeypatch, is_type):
-    def verdict(H, N, gamma):
-        return TypeVerdict(N, gamma, is_type, is_type, is_type, is_type, gamma)
-    monkeypatch.setattr(sgp.classify, "type_verdict", verdict)
-
-
-def test_is_type_by_tail_claim_failed(monkeypatch):
-    _type_verdict_says(monkeypatch, False)
-    with pytest.raises(ClaimFailed, match="is_type_by_tail"):
-        is_type_by_tail(from_generators([4, 6, 17]), 2)
-
-
-def test_is_type_by_genus_claim_failed(monkeypatch):
-    _type_verdict_says(monkeypatch, False)
-    with pytest.raises(ClaimFailed, match="is_type_by_genus"):
-        is_type_by_genus(from_generators([4, 6, 17]), 2)
-
-
-def test_leading_gcd_claim_failed(monkeypatch):
-    # <3, 4, 5> passes the faked preconditions, but its first element is 3
-    _type_verdict_says(monkeypatch, True)
-    monkeypatch.setattr(sgp.classify, "rho1", lambda A, N, gamma: -1)
-    with pytest.raises(ClaimFailed, match="leading_gcd: expected 2, got 3"):
-        leading_gcd(from_generators([3, 4, 5]), 2, 2)
-
-
-def test_symmetry_profile_pairing_claim_failed(monkeypatch):
-    monkeypatch.setattr(NumericalSemigroup, "_check_closure", lambda self, bits: None)
-    H = NumericalSemigroup((2, 3, 5))  # last gap 2g - 1, yet 1 and 4 are in H
-    with pytest.raises(ClaimFailed, match="1 and 4 are both elements"):
-        symmetry_profile(H)
-
-
-def test_symmetry_profile_half_gap_claim_failed(monkeypatch):
-    monkeypatch.setattr(NumericalSemigroup, "_check_closure", lambda self, bits: None)
-    H = NumericalSemigroup((1, 3, 4))  # last gap 4, yet 2 is in H
-    with pytest.raises(ClaimFailed, match="half the last gap, 2"):
-        symmetry_profile(H)
-
-
-def test_project_by_n_claim_failed(monkeypatch):
-    # m_1 = 8 and m_2 = 10 project to 4 and 5, which leaves genus 3, not 2
-    _type_verdict_says(monkeypatch, True)
-    with pytest.raises(ClaimFailed, match="expected genus 2, got 3"):
-        project_by_n(from_generators([8, 10, 11, 13]), 2, 2)
+            for n in (1, 2, 3, 5, 7):
+                for gamma in range(9):
+                    if not type_verdict(H, n, gamma).is_type:
+                        continue
+                    head = [H.element_at(i) for i in range(1, gamma + 1)]
+                    assert all(m % n == 0 for m in head), (H.gaps, n, gamma)
+                    K = project_by_n(H, n, gamma)
+                    assert K.genus == gamma, (H.gaps, n, gamma)
+                    assert [K.element_at(i) for i in range(1, gamma + 1)] == \
+                        [m // n for m in head]
+                    projected += 1
+    assert projected > 0

@@ -12,9 +12,8 @@ from sgp.core import (SUMSET_CACHED_LEVELS, SUMSET_WORK_CAP, NumericalSemigroup,
                       tree_children)
 from sgp.errors import CapExceeded, GenusTooSmall, WrongShape
 from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, bc_test,
-                             conjectured_gap_sums, fails_bc, gap_sum_profile,
-                             pair_sum_extras, pairing_obstruction,
-                             pairing_rules_out)
+                             gap_sum_profile, pair_sum_extras,
+                             pairing_obstruction, pairing_rules_out)
 
 BUCHWEITZ_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
 
@@ -52,10 +51,6 @@ def test_profile_guards():
         gap_sum_profile(from_generators([2, 3]), 2)
     with pytest.raises(ValueError):
         gap_sum_profile(from_generators([2, 5]), 1)
-    with pytest.raises(GenusTooSmall):
-        fails_bc(from_generators([2, 3]), 2)
-    with pytest.raises(ValueError):
-        fails_bc(from_generators([2, 5]), 1)
     with pytest.raises(ValueError, match="need n >= 2"):
         bc_test(1)
 
@@ -64,15 +59,12 @@ def test_sumset_width_cap():
     # the work cap refuses a wide sumset before any level is built; <3, 4>
     # has genus 3 and frobenius 5
     H = from_generators([3, 4])
-    for check in (gap_sum_profile, fails_bc, conjectured_gap_sums,
-                  lambda H, n: bc_test(n)(H)):
+    for check in (gap_sum_profile, lambda H, n: bc_test(n)(H)):
         with pytest.raises(CapExceeded, match="sumset work .* exceeds cap"):
             check(H, 10**7)
     assert H._sumsets == ()
     assert gap_sum_profile(H, 3).cardinality == len(brute_sums(H.gaps, 3))
-    assert fails_bc(H, 3) is False
     assert bc_test(3)(H) is False
-    assert conjectured_gap_sums(H, 3).values == tuple(range(3, 13)) + (15,)
 
 
 @given(st.integers(2, 10**6), st.data())
@@ -106,8 +98,7 @@ def test_sumset_work_cap(monkeypatch):
     H = from_generators([3, 4])
     # levels 2..4 from scratch: 3 * 3 * 20 = 180
     assert gap_sum_profile(H, 4).cardinality == len(brute_sums(H.gaps, 4))
-    for check in (gap_sum_profile, fails_bc, conjectured_gap_sums,
-                  lambda H, n: bc_test(n)(H)):
+    for check in (gap_sum_profile, lambda H, n: bc_test(n)(H)):
         with pytest.raises(CapExceeded, match="work .* = 300 exceeds cap 180"):
             check(NumericalSemigroup(H.gaps), 5)  # 4 * 3 * 25
     # H keeps levels 1..4, so n = 5 builds one level: 1 * 3 * 25
@@ -129,16 +120,17 @@ def _assert_carried_sumsets_match_fresh(root, max_genus, order):
     given order, before its children are built, so every child of a filled
     node derives its sumsets from its parent's.  Each must equal the ones a
     freshly constructed semigroup builds gap by gap."""
+    tests = {n: bc_test(n) for n in (2, 3, 4)}
     for H in descendants(root, max_genus):
         if H.genus < 2:
             continue
         for n in order:
-            fails_bc(H, n)
+            tests[n](H)
         fresh = NumericalSemigroup(H.gaps)
         for n in (2, 3, 4):
             p = gap_sum_profile(H, n)
             assert p.sums == gap_sum_profile(fresh, n).sums, (H.gaps, n)
-            assert fails_bc(H, n) == (not p.passes_bc)
+            assert tests[n](H) == (not p.passes_bc)
 
 
 @pytest.mark.parametrize("order", [(2, 3), (3, 2)])
@@ -174,13 +166,14 @@ def test_sumset_cache_keeps_few_levels():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_bc_test_matches_fails_bc_exhaustive(n):
+def test_bc_test_matches_profile_exhaustive(n):
     test = bc_test(n)
     for H in descendants(NumericalSemigroup(), 13):
         if H.genus >= 3:
             # the test ran on H's parent, so H carries its sumsets
             assert len(H._sumsets) >= n, H.gaps
-        expected = H.genus >= 2 and fails_bc(NumericalSemigroup(H.gaps), n)
+        expected = (H.genus >= 2
+                    and not gap_sum_profile(NumericalSemigroup(H.gaps), n).passes_bc)
         assert test(NumericalSemigroup(H.gaps)) == test(H) == expected, (H.gaps, n)
 
 
@@ -188,7 +181,7 @@ def test_bc_test_at_buchweitz_example():
     # #G_2 = 46 against the bound 3 * 15 = 45, while #G_3 and #G_4 pass
     H = from_gaps(BUCHWEITZ_GAPS)
     assert [bc_test(n)(H) for n in (2, 3, 4)] == [True, False, False]
-    assert [fails_bc(H, n) for n in (2, 3, 4)] == [True, False, False]
+    assert [gap_sum_profile(H, n).passes_bc for n in (2, 3, 4)] == [False, True, True]
 
 
 def test_bc_test_reads_carried_levels(monkeypatch):
@@ -209,13 +202,6 @@ def test_bc_test_reads_carried_levels(monkeypatch):
         with pytest.raises(CapExceeded, match="exceeds cap 0"):
             test(NumericalSemigroup(H.gaps))
         monkeypatch.undo()
-
-
-def test_fails_bc_matches_profile(by_genus):
-    for g in range(2, 14):
-        for H in by_genus(g):
-            for n in (2, 3, 4):
-                assert fails_bc(H, n) == (not gap_sum_profile(H, n).passes_bc)
 
 
 def test_profile_matches_bruteforce(by_genus):
@@ -262,29 +248,17 @@ def test_sumsets_monotone_under_smallest_gap(by_genus):
                 prev = cur
 
 
-def test_conjectured_sums_examples():
-    c = conjectured_gap_sums(from_generators([3, 4, 5]), 2)
-    assert c.values == (2, 3, 4)
-    assert c.subset_of_actual and c.equals_actual and c.in_regime
-    c = conjectured_gap_sums(from_generators([2, 5]), 2)
-    assert not c.in_regime  # last gap 2g-1; the set is still computed
-    assert c.values
-    # at n = 2 the union term is every pairwise sum, so equality reduces
-    # to containment of the interval {2..last_gap}
-    c = conjectured_gap_sums(from_gaps(BUCHWEITZ_GAPS), 2)
-    assert c.subset_of_actual and c.equals_actual and c.in_regime
-    # at n = 3 the closed form genuinely misses triples such as 19+21+24
-    c = conjectured_gap_sums(from_gaps(BUCHWEITZ_GAPS), 3)
-    assert c.subset_of_actual and not c.equals_actual
-    assert 19 + 21 + 24 not in c.values
-
-
 def test_conjectured_subset_holds_in_regime(by_genus):
+    # for last gap <= 2g - 2 the closed-form candidate for G_n lies inside
+    # it: {n, ..., (n-1)*last_gap} and every (n-1)*gap_k + gap_j
     for g in range(2, 11):
         for H in by_genus(g):
-            if H.frobenius <= 2 * g - 2:
+            ell = H.frobenius
+            if ell <= 2 * g - 2:
                 for n in (2, 3):
-                    assert conjectured_gap_sums(H, n).subset_of_actual
+                    candidate = set(range(n, (n - 1) * ell + 1))
+                    candidate |= {(n - 1) * gk + gj for gk in H.gaps for gj in H.gaps}
+                    assert candidate <= set(gap_sum_profile(H, n).sums), (H.gaps, n)
 
 
 def test_pairing_obstruction_buchweitz():
