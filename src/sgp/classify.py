@@ -14,7 +14,7 @@ from math import gcd
 from typing import Callable
 
 from .bounds import divisor_condition, rho1, rho3
-from .core import NumericalSemigroup, natural_gamma
+from .core import NumericalSemigroup, _exceptional_gaps, _multiples, natural_gamma
 from .errors import GenusZero, NotPrime, PreconditionViolated
 
 
@@ -51,17 +51,6 @@ class TypeVerdict:
     cond_c: bool
     is_type: bool
     gamma_n: int
-
-
-def _multiples(N: int, count: int) -> int:
-    """Bitset with bits N, 2N, ..., count*N set, built by doubling."""
-    bits = 1 << N if count > 0 else 0
-    done = 1
-    while done < count:
-        step = min(done, count - done)
-        bits |= bits << (step * N)
-        done += step
-    return bits
 
 
 def _type_conditions(H: NumericalSemigroup, N: int, gamma: int,
@@ -185,6 +174,9 @@ class SymmetryProfile:
 
 
 def symmetry_profile(H: NumericalSemigroup) -> SymmetryProfile:
+    """Kind, i and exceptional gaps of H (see SymmetryProfile), read from
+    its membership bitset.  Raises GenusZero for the naturals, which have
+    no last gap to mirror in."""
     g = H.genus
     if g == 0:
         raise GenusZero("symmetry is undefined for the naturals")
@@ -197,9 +189,8 @@ def symmetry_profile(H: NumericalSemigroup) -> SymmetryProfile:
         kind = "quasi_symmetric"
     else:
         kind = "general"
-    window = tuple(h for h in reversed(H.gaps)
-                   if g - i < h < ell and ell - h not in H)
-    return SymmetryProfile(kind, i, window + ((g - i,) if even else ()))
+    return SymmetryProfile(kind, i,
+                           _exceptional_gaps(H, g - i) + ((g - i,) if even else ()))
 
 
 def arithmetic_cover_criterion(H: NumericalSemigroup, N: int, gamma: int) -> bool:

@@ -300,11 +300,31 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     return NumericalSemigroup(_bit_positions(mask & ~bits))
 
 
+def _multiples(N: int, count: int) -> int:
+    """Bitset with bits N, 2N, ..., count*N set, built by doubling."""
+    bits = 1 << N if count > 0 else 0
+    done = 1
+    while done < count:
+        step = min(done, count - done)
+        bits |= bits << (step * N)
+        done += step
+    return bits
+
+
 def natural_gamma(H: NumericalSemigroup, n: int) -> int:
     """Number of gaps divisible by n."""
     if n < 1:
         raise ValueError("modulus must be positive")
-    return sum(1 for gap in H.gaps if gap % n == 0)
+    return (H._gap_bits() & _multiples(n, H.frobenius // n)).bit_count()
+
+
+def _exceptional_gaps(H: NumericalSemigroup, low: int) -> tuple[int, ...]:
+    """The gaps h with low < h < F whose mirror F - h is a gap too, for F
+    the Frobenius number, descending, read from the membership bitset."""
+    ell = H.frobenius
+    bits = H._member_bits
+    return tuple(h for h in range(ell - 1, low, -1)
+                 if not bits >> h & 1 and not bits >> (ell - h) & 1)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,13 @@ from typing import Any
 
 from .bounds import coprime_lower_bound, divisor_condition, rho1, rho3
 from .classify import _require_prime, project_by_n, type_verdict
-from .core import (NumericalSemigroup, _check_sumset_work, format_semigroup,
-                   from_generators, natural_gamma)
+from .core import (NumericalSemigroup, _bit_positions, _check_sumset_work,
+                   _multiples, format_semigroup, from_generators, natural_gamma)
 from .errors import (CapExceeded, ClaimFailed, ParityViolation, PreconditionViolated,
                      RangeViolation)
 from .obstruction import NOT_WEIERSTRASS, gap_sum_profile, pairing_obstruction
 
-# cover_family builds and checks gap lists about g and 2g long, so past this
+# cover_family builds bitsets 2g wide and a gap tuple about g long, so past this
 # genus it raises CapExceeded before building anything (buchweitz_family stops
 # earlier, at the sumset work cap of its pairwise gap sums; the other
 # constructors stop at core.GENERATOR_WINDOW_CAP)
@@ -149,22 +149,18 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     if ell % N == 0:
         raise PreconditionViolated("2g - f must not be divisible by N")
 
-    def in_scaled(x: int) -> bool:
-        return x % N == 0 and (x // N) in htilde
-
-    def in_h1(x: int) -> bool:
-        if x > ell:
-            return True
-        if in_scaled(x):
-            return True
-        r = ell - x
-        return r <= g - 1 and not in_scaled(r)
-
-    gaps = [x for x in range(1, ell + 1) if not in_h1(x)]
-    u_direct = sum(1 for h in range(1, 2 * g + 1)
-                   if (h == 2 * g or h % N == 0) and in_h1(h))
-    v_direct = sum(1 for h in range(1, 2 * g)
-                   if h % N != 0 and in_h1(h))
+    # N*htilde on [0, 2g], and the reflected part ell - r for r <= g - 1
+    # outside it, by reversing that complement's bit string over [0, ell]
+    multiples = _multiples(N, 2 * g // N)
+    scaled = (multiples | 1) & ~sum(1 << N * k for k in htilde.gaps)
+    outside = ~scaled & ((1 << g) - 1)
+    reflected = int(format(outside, f"0{ell + 1}b")[::-1], 2)
+    # the members of H1 in [0, 2g]: every integer above ell is one
+    members = scaled | reflected | ((1 << (2 * g + 1)) - (1 << (ell + 1)))
+    gaps = _bit_positions(~members & ((1 << (ell + 1)) - 1))
+    # U counts the members of [1, 2g] at multiples of N or at 2g, V the rest
+    u_direct = (members & (multiples | 1 << (2 * g))).bit_count()
+    v_direct = members.bit_count() - 1 - u_direct
     # remove the middle element exactly when the reflected set carries one
     # element too many; by the case tables that happens iff N < 2u < N+f
     # (the closed left endpoint 2u = N, reachable only for N = 2, leaves
@@ -179,8 +175,8 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     sheet = _Claims("cover_family")
     sheet.check("branch_matches_interval_rule", N < 2 * u < N + f, h2_branch)
     if h2_branch:
-        sheet.check("removed_element_was_present", True, in_h1(e) and e <= ell)
-        gaps.append(e)
+        sheet.check("removed_element_was_present", True, members >> e & 1 == 1)
+        gaps += (e,)
     else:
         sheet.check("element_count_up_to_2g", g, u_direct + v_direct)
     u_table, v_table = _cover_tables(g, N, gamma, lam, u, f)

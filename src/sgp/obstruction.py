@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import NumericalSemigroup, _bit_positions
+from .core import NumericalSemigroup, _bit_positions, _exceptional_gaps
 from .errors import GenusTooSmall, WrongShape
 
 NOT_WEIERSTRASS = "not_weierstrass"
@@ -72,18 +72,12 @@ def gap_sum_profile(H: NumericalSemigroup, n: int) -> GapSumProfile:
     """Exact n-fold sumset of the gap set, with repetition allowed."""
     bound = _bc_bound(H, n)
     g = H.genus
-    acc = H._sumset(n)
-    sums = []
-    bits = acc
-    while bits:
-        low = bits & -bits
-        sums.append(low.bit_length() - 1)
-        bits ^= low
+    sums = _bit_positions(H._sumset(n))
     card = len(sums)
     excess = None
     if n == 2 and H.frobenius <= 2 * g - 2:
         excess = card - (H.frobenius - 1) - g
-    return GapSumProfile(n, tuple(sums), card, bound, card <= bound, excess)
+    return GapSumProfile(n, sums, card, bound, card <= bound, excess)
 
 
 def pair_sum_extras(H: NumericalSemigroup) -> tuple[int, ...]:
@@ -110,10 +104,7 @@ def _pairing_verdict(H: NumericalSemigroup) -> str | None:
     i = g - ell // 2  # ell = 2g - 2i + 1
     if i < 4:
         return None
-    bits = H._member_bits
-    # descending: the gaps h in (g - i, ell) whose mirror ell - h is a gap too
-    hs = tuple(h for h in range(ell - 1, g - i, -1)
-               if not bits >> h & 1 and not bits >> (ell - h) & 1)
+    hs = _exceptional_gaps(H, g - i)
     if not hs[0] + hs[-1] > 2 * hs[1]:
         return INCONCLUSIVE
     pairs = [(1, v) for v in range(1, i)]

@@ -11,7 +11,8 @@ from sgp.classify import (TypeVerdict, arithmetic_cover_criterion,
                           exclusive_types, is_prime, is_type_by_genus,
                           is_type_by_tail, leading_gcd, project_by_n,
                           symmetry_profile, type_test, type_verdict)
-from sgp.core import from_gaps, from_generators, natural_gamma
+from sgp.core import (NumericalSemigroup, descendants, from_gaps, from_generators,
+                      natural_gamma)
 from sgp.errors import GenusZero, NotPrime, PreconditionViolated
 
 BUCHWEITZ_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
@@ -220,6 +221,10 @@ def test_symmetry_kinds_exhaustive(by_genus):
         for H in by_genus(g):
             p = symmetry_profile(H)
             ell = H.frobenius
+            # the gaps h in (g - i, ell) with ell - h a gap, then ell/2
+            window = tuple(h for h in range(ell - 1, g - p.i, -1)
+                           if h not in H and ell - h not in H)
+            assert p.exceptional_gaps == window + ((g - p.i,) if ell % 2 == 0 else ()), H.gaps
             # closure forces exactly i-1 broken pairs, and an even last gap
             # has its half as a gap
             assert len(p.exceptional_gaps) == p.i - 1 + (ell % 2 == 0), H.gaps
@@ -235,6 +240,17 @@ def test_symmetry_kinds_exhaustive(by_genus):
                 assert p.exceptional_gaps == (g - 1,)
             else:
                 assert p.kind == "general" and p.i > 1
+
+
+def test_readers_leave_tree_children_undecoded():
+    # natural_gamma, type_verdict and symmetry_profile read the membership
+    # bitset, so a tree child they inspect never decodes its gap tuple
+    for H in descendants(NumericalSemigroup(), 13):
+        if H.genus == 0:
+            continue
+        type_verdict(H, 2, natural_gamma(H, 2))
+        symmetry_profile(H)
+        assert H._gaps is None, H.frobenius
 
 
 def test_arithmetic_cover_criterion():

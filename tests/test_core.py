@@ -192,6 +192,16 @@ def test_natural_gamma():
         natural_gamma(H, 0)
 
 
+def test_natural_gamma_exhaustive(by_genus):
+    # the gaps divisible by n, filtered from the gap tuple; n = F + 1
+    # divides no gap (at genus 0, where F + 1 = 0, n = 1 stands in)
+    for g in range(15):
+        for H in by_genus(g):
+            for n in (1, 2, 3, 5, 7, H.conductor or 1):
+                assert natural_gamma(H, n) == sum(gap % n == 0 for gap in H.gaps), \
+                    (H.gaps, n)
+
+
 def test_apery_examples():
     p = apery_profile(from_generators([3, 5]), 3)
     assert p.s == (10, 5)

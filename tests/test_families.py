@@ -7,11 +7,13 @@ import time
 import pytest
 
 from sgp.bounds import rho3
-from sgp.classify import project_by_n, type_verdict
-from sgp.core import from_gaps, from_generators, natural_gamma
+from sgp.classify import _require_prime, project_by_n, type_verdict
+from sgp.core import (NumericalSemigroup, format_semigroup, from_gaps,
+                      from_generators, natural_gamma)
 from sgp.errors import (CapExceeded, ClaimFailed, NotPrime, ParityViolation,
                         PreconditionViolated, RangeViolation)
-from sgp.families import (buchweitz_family, cover_family,
+from sgp.families import (FamilyResult, _check_genus_cap, _Claims, _cover_tables,
+                          buchweitz_family, cover_family,
                           superelliptic_extremal, superelliptic_sharp,
                           superelliptic_spurious)
 from sgp.obstruction import gap_sum_profile
@@ -135,6 +137,93 @@ class TestCoverFamily:
             cover_family(from_generators([2, 3]), 3, 27, 2)
         with pytest.raises(ClaimFailed):
             cover_family(from_generators([2, 3]), 5, 83, 3)
+
+
+def reference_cover_family(htilde, N, g, f):
+    """cover_family with H1 read one integer at a time: the scaled set
+    N*htilde and its reflection ell - r (r <= g - 1) tested per integer,
+    U and V counted over [1, 2g]."""
+    _check_genus_cap(g)
+    _require_prime(N)
+    gamma = htilde.genus
+    if g <= rho3(N, gamma):
+        raise PreconditionViolated(f"need g > rho3({N}, {gamma}) = {rho3(N, gamma)}")
+    lam, u = divmod(g, N)
+    if f < 1:
+        raise PreconditionViolated("need f >= 1")
+    if u > 0 and f > u:
+        raise PreconditionViolated(f"need f <= u = {u} when u > 0")
+    if u == 0 and f >= N:
+        raise PreconditionViolated(f"need f < N = {N} when u == 0")
+    ell = 2 * g - f
+    if ell % N == 0:
+        raise PreconditionViolated("2g - f must not be divisible by N")
+
+    def in_scaled(x):
+        return x % N == 0 and (x // N) in htilde
+
+    def in_h1(x):
+        if x > ell or in_scaled(x):
+            return True
+        r = ell - x
+        return r <= g - 1 and not in_scaled(r)
+
+    gaps = [x for x in range(1, ell + 1) if not in_h1(x)]
+    u_direct = sum(1 for h in range(1, 2 * g + 1)
+                   if (h == 2 * g or h % N == 0) and in_h1(h))
+    v_direct = sum(1 for h in range(1, 2 * g) if h % N != 0 and in_h1(h))
+    h2_branch = u_direct + v_direct == g + 1
+    e = ell // 2
+    diagnostics = {"branch": "H2" if h2_branch else "H1",
+                   "lambda": lam, "u": u, "U": u_direct, "V": v_direct,
+                   "removed": e if h2_branch else None}
+    sheet = _Claims("cover_family")
+    sheet.check("branch_matches_interval_rule", N < 2 * u < N + f, h2_branch)
+    if h2_branch:
+        sheet.check("removed_element_was_present", True, in_h1(e) and e <= ell)
+        gaps.append(e)
+    else:
+        sheet.check("element_count_up_to_2g", g, u_direct + v_direct)
+    u_table, v_table = _cover_tables(g, N, gamma, lam, u, f)
+    diagnostics["U_table"] = u_table
+    diagnostics["V_table"] = v_table
+    sheet.check("U_matches_case_table", u_table, u_direct)
+    sheet.check("V_matches_case_table", v_table, v_direct)
+    H = NumericalSemigroup(gaps)
+    sheet.check("genus", g, H.genus)
+    sheet.check("last_gap", ell, H.frobenius)
+    sheet.check("type_verdict", True, type_verdict(H, N, gamma).is_type)
+    sheet.check("projection_recovers_input", htilde, project_by_n(H, N, gamma))
+    params = {"htilde": format_semigroup(htilde), "N": N, "g": g, "f": f}
+    return FamilyResult(H, "cover_h2" if h2_branch else "cover_h1",
+                        params, sheet.done(), diagnostics)
+
+
+def _result_or_error(fn, *args):
+    try:
+        r = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return r.semigroup.gaps, r.family, r.params, r.claims, r.diagnostics
+
+
+def test_cover_family_matches_reference_grid():
+    # every tuple from just below rho3 up, with f past its allowed range:
+    # the result or the exception, claims and diagnostics included, is the
+    # reference's, the known f >= 2 ClaimFailed cases among them
+    tuples = raised = 0
+    for gens in ([2, 3], [2, 5], [3, 4, 5], [3, 5, 7], [2, 7], [3, 4], [1]):
+        htilde = from_generators(gens)
+        for N in (2, 3, 5, 7):
+            lo = rho3(N, htilde.genus)
+            for g in range(lo - 1, lo + 4 * N + 2):
+                for f in range(N + 2):
+                    want = _result_or_error(reference_cover_family, htilde, N, g, f)
+                    assert _result_or_error(cover_family, htilde, N, g, f) == want, \
+                        (gens, N, g, f)
+                    tuples += 1
+                    raised += isinstance(want[0], type)
+    assert (tuples, raised) == (3913, 3409)
 
 
 class TestSuperellipticSharp:

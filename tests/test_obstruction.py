@@ -342,11 +342,9 @@ def test_pairing_implies_bound_failure_when_sums_are_extra(by_genus):
     assert disagreements == [tuple(range(1, 9)) + (13, 14, 16, 17)]
 
 
-def pairing_by_profile(H):
-    """pairing_obstruction as it read the exceptional gaps from
-    symmetry_profile, before they came from the bitset."""
-    from sgp.classify import symmetry_profile
-
+def pairing_by_definition(H):
+    """pairing_obstruction with the exceptional gaps taken from their
+    definition: the h in (g - i, ell) with h and ell - h not in H."""
     g = H.genus
     ell = H.frobenius
     if g == 0 or ell % 2 == 0:
@@ -354,7 +352,8 @@ def pairing_by_profile(H):
     i = (2 * g + 1 - ell) // 2
     if i < 4:
         raise WrongShape("need i >= 4")
-    hs = tuple(h for h in symmetry_profile(H).exceptional_gaps if h > g - i)
+    hs = tuple(h for h in range(ell - 1, g - i, -1)
+               if h not in H and ell - h not in H)
     if len(hs) != i - 1:
         raise WrongShape("wrong count of exceptional gaps")
     if not hs[0] + hs[-1] > 2 * hs[1]:
@@ -375,7 +374,7 @@ def _verdict_or_shape(fn, H):
 def test_pairing_obstruction_matches_profile_version_exhaustive():
     seen = {INCONCLUSIVE: 0, NOT_WEIERSTRASS: 0, WrongShape: 0}
     for H in descendants(NumericalSemigroup(), 15):
-        want = _verdict_or_shape(pairing_by_profile, H)
+        want = _verdict_or_shape(pairing_by_definition, H)
         assert _verdict_or_shape(pairing_obstruction, H) == want, H.gaps
         assert pairing_rules_out(H) == (want == NOT_WEIERSTRASS), H.gaps
         seen[want] += 1
