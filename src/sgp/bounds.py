@@ -10,8 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .core import NumericalSemigroup, natural_gamma
-from .errors import (DegenerateDenominator, NonIntegerRho4, NotCoprime,
-                     PreconditionViolated)
+from .errors import DegenerateDenominator, NotCoprime, PreconditionViolated
 
 
 def rho1(a: int, n: int, gamma: int) -> int:
@@ -32,12 +31,9 @@ def rho3(n: int, gamma: int) -> int:
 def rho4(a: int, u: int, n: int, gamma: int) -> int:
     """(N-u-1)[(A-gamma-1)(N+u) - 2(N*gamma+N-1)]/2 + rho3(N, gamma).
 
-    Raises NonIntegerRho4 when the halved term is odd; callers must treat
-    that as an out-of-domain call, not round.
+    Always integral: when N-u-1 is odd, N+u is even, and so is the bracket.
     """
     num = (n - u - 1) * ((a - gamma - 1) * (n + u) - 2 * (n * gamma + n - 1))
-    if num % 2:
-        raise NonIntegerRho4(f"rho4({a}, {u}, {n}, {gamma}) is not an integer")
     return num // 2 + rho3(n, gamma)
 
 

@@ -181,16 +181,13 @@ def symmetry_profile(H: NumericalSemigroup) -> SymmetryProfile:
     if g == 0:
         raise GenusZero("symmetry is undefined for the naturals")
     ell = H.frobenius
-    even = (ell % 2 == 0)
-    i = (2 * g - ell) // 2 if even else (2 * g + 1 - ell) // 2
     if ell == 2 * g - 1:
         kind = "symmetric"
     elif ell == 2 * g - 2:
         kind = "quasi_symmetric"
     else:
         kind = "general"
-    return SymmetryProfile(kind, i,
-                           _exceptional_gaps(H, g - i) + ((g - i,) if even else ()))
+    return SymmetryProfile(kind, g - ell // 2, _exceptional_gaps(H))
 
 
 def arithmetic_cover_criterion(H: NumericalSemigroup, N: int, gamma: int) -> bool:

@@ -9,6 +9,7 @@ arithmetic end to end; nothing ever touches floats.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import Iterable, Iterator
@@ -17,16 +18,16 @@ from .errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
                      NotASemigroup)
 
 DEFAULT_GENUS_CAP = 25
-# widest window from_generators sieves: Schur's bound (a_1 - 1)(a_j - 1)
-GENERATOR_WINDOW_CAP = 10**7
 # gap sumset levels S_1 .. S_k a semigroup keeps and hands to its tree
 # children; all k levels take O(k^2 * frobenius) bits
 SUMSET_CACHED_LEVELS = 8
-# most bit-shifts, levels * genus * n * frobenius, that _sumset spends on the
-# levels it builds: 3x the largest query_mix request (n = 20, F = 4177: 3.3e9).
-# It bounds each built level's width W = n * F below 424,264 bits, as g > F/2:
+# most bits shifted by one costly build, estimated from its input before it
+# starts (_check_work): the generator sieve, the constructor's closure sieve,
+# cover_family's output and the gap sumset levels _sumset builds.  It is 3x
+# the largest query_mix sumset (n = 20, F = 4177: 3.3e9), and it bounds each
+# built sumset level's width W = n * F below 424,264 bits, as g > F/2:
 # W^2 < 2 * n/(n - built) * work <= 2 * (SUMSET_CACHED_LEVELS + 1) * cap
-SUMSET_WORK_CAP = 10**10
+WORK_CAP = 10**10
 
 
 class NumericalSemigroup:
@@ -56,6 +57,10 @@ class NumericalSemigroup:
         self.genus = len(gap_list)
         self.frobenius = gap_list[-1] if gap_list else -1
         self.conductor = self.frobenius + 1
+        half = self.frobenius // 2
+        # the closure sieve shifts the membership bits once per element <= F/2
+        _check_work((half - bisect_right(gap_list, half)) * self.conductor,
+                    "closure sieve work (elements <= F/2) * conductor")
         gap_bits = 0
         for v in gap_list:
             gap_bits |= 1 << v
@@ -154,12 +159,14 @@ class NumericalSemigroup:
         S_j is built from S_{j-1} by one shift-or per gap.  The first
         SUMSET_CACHED_LEVELS levels are kept in ``_sumsets``, so a large n
         holds no more than that many bitsets.  Only the levels still to
-        build count against SUMSET_WORK_CAP, so carried ones cost nothing.
+        build count against WORK_CAP, so carried ones cost nothing, and so
+        does the first: one shift-or per gap and new level, F * n bits wide.
         """
         sums = self._sumsets
         if n <= len(sums):
             return sums[n - 1]
-        _check_sumset_work(n, self.genus, self.frobenius, len(sums))
+        _check_work((n - max(len(sums), 1)) * self.genus * n * self.frobenius,
+                    "sumset work levels * genus * width")
         levels = list(sums) or [self._gap_bits()]
         gaps = _bit_positions(levels[0])  # S_1: the gaps, left unread on self
         acc = levels[-1]
@@ -226,14 +233,11 @@ class NumericalSemigroup:
         return gens
 
 
-def _check_sumset_work(n: int, genus: int, frobenius: int, built: int) -> None:
-    """Raise CapExceeded when building levels built + 1 .. n of the n-fold
-    gap sumset of a semigroup of this genus and Frobenius number takes more
-    than SUMSET_WORK_CAP bit-shifts; the first level costs nothing."""
-    work = (n - max(built, 1)) * genus * n * frobenius
-    if work > SUMSET_WORK_CAP:
-        raise CapExceeded(f"sumset work levels * genus * width = {work} "
-                          f"exceeds cap {SUMSET_WORK_CAP}")
+def _check_work(work: int, what: str) -> None:
+    """Raise CapExceeded before a build whose estimated ``work``, in bits
+    shifted, is past WORK_CAP; ``what`` names the estimate."""
+    if work > WORK_CAP:
+        raise CapExceeded(f"{what} = {work} exceeds cap {WORK_CAP}")
 
 
 def _pair_sums(pos: int, limit: int) -> int:
@@ -274,8 +278,9 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
 
     Requires gcd(gens) == 1, otherwise the complement is infinite.  Every
     gap lies below Schur's bound (a_1 - 1)(a_j - 1), with a_1 < ... < a_j
-    the shortest prefix whose gcd is 1; a window above GENERATOR_WINDOW_CAP
-    raises CapExceeded before anything is built.
+    the shortest prefix whose gcd is 1.  The sieve's work is checked before
+    that window is allocated, and the constructor's closure sieve before
+    the gaps are decoded.
     """
     gen_list = sorted(set(gens))
     if not gen_list:
@@ -286,9 +291,9 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     if gcds[-1] != 1:
         raise GcdNotOne(f"gcd of {gen_list} is not 1")
     window = (gen_list[0] - 1) * (gen_list[gcds.index(1)] - 1)
-    if window > GENERATOR_WINDOW_CAP:
-        raise CapExceeded(f"generator window (a_1 - 1)(a_j - 1) = {window} "
-                          f"exceeds cap {GENERATOR_WINDOW_CAP}")
+    # a generator a shifts the window by each a * 2^k < window
+    shifts = sum(((window - 1) // a).bit_length() for a in gen_list)
+    _check_work(shifts * window, "generator sieve work shift-ors * window")
     mask = (1 << window) - 1
     bits = 1
     for a in gen_list:
@@ -297,7 +302,12 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
         while s < window:
             bits |= (bits << s) & mask
             s *= 2
-    return NumericalSemigroup(_bit_positions(mask & ~bits))
+    gap_bits = mask & ~bits
+    conductor = gap_bits.bit_length()
+    # as the constructor checks it: the elements 0 < a <= F/2 times the conductor
+    small = (bits & ((1 << (conductor + 1) // 2) - 1)).bit_count() - 1
+    _check_work(small * conductor, "closure sieve work (elements <= F/2) * conductor")
+    return NumericalSemigroup(_bit_positions(gap_bits))
 
 
 def _multiples(N: int, count: int) -> int:
@@ -318,12 +328,13 @@ def natural_gamma(H: NumericalSemigroup, n: int) -> int:
     return (H._gap_bits() & _multiples(n, H.frobenius // n)).bit_count()
 
 
-def _exceptional_gaps(H: NumericalSemigroup, low: int) -> tuple[int, ...]:
-    """The gaps h with low < h < F whose mirror F - h is a gap too, for F
-    the Frobenius number, descending, read from the membership bitset."""
+def _exceptional_gaps(H: NumericalSemigroup) -> tuple[int, ...]:
+    """The gaps h with F/2 <= h < F whose mirror F - h is a gap too, for F
+    the Frobenius number, descending, read from the membership bitset.
+    When F is even, F/2 is the last of them."""
     ell = H.frobenius
     bits = H._member_bits
-    return tuple(h for h in range(ell - 1, low, -1)
+    return tuple(h for h in range(ell - 1, (ell - 1) // 2, -1)
                  if not bits >> h & 1 and not bits >> (ell - h) & 1)
 
 

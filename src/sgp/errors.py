@@ -37,9 +37,8 @@ class NotAnElement(SemigroupError):
 
 
 class CapExceeded(SemigroupError):
-    """A requested size (the genus of an enumeration or a family, the
-    window of a generator sieve or the work to build a gap sumset) exceeds
-    its configured cap."""
+    """A requested size (the genus of an enumeration, or the work a build
+    is estimated to take before it starts) exceeds its cap."""
 
 
 class NotPrime(SemigroupError):
@@ -56,11 +55,6 @@ class GenusZero(SemigroupError):
 
 class GenusTooSmall(SemigroupError):
     """Gap-sum bounds degenerate below genus 2."""
-
-
-class NonIntegerRho4(SemigroupError):
-    """The rho4 expression is odd before halving; the call is out of the
-    formula's intended domain."""
 
 
 class DegenerateDenominator(SemigroupError):

@@ -15,22 +15,10 @@ from typing import Any
 
 from .bounds import coprime_lower_bound, divisor_condition, rho1, rho3
 from .classify import _require_prime, project_by_n, type_verdict
-from .core import (NumericalSemigroup, _bit_positions, _check_sumset_work,
-                   _multiples, format_semigroup, from_generators, natural_gamma)
-from .errors import (CapExceeded, ClaimFailed, ParityViolation, PreconditionViolated,
-                     RangeViolation)
+from .core import (NumericalSemigroup, _bit_positions, _check_work, _multiples,
+                   format_semigroup, from_generators, natural_gamma)
+from .errors import ClaimFailed, ParityViolation, PreconditionViolated, RangeViolation
 from .obstruction import NOT_WEIERSTRASS, gap_sum_profile, pairing_obstruction
-
-# cover_family builds bitsets 2g wide and a gap tuple about g long, so past this
-# genus it raises CapExceeded before building anything (buchweitz_family stops
-# earlier, at the sumset work cap of its pairwise gap sums; the other
-# constructors stop at core.GENERATOR_WINDOW_CAP)
-FAMILY_GENUS_CAP = 500_000
-
-
-def _check_genus_cap(g: int) -> None:
-    if g > FAMILY_GENUS_CAP:
-        raise CapExceeded(f"genus {g} exceeds the family cap {FAMILY_GENUS_CAP}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +75,9 @@ def buchweitz_family(g: int, i: int, a: int | None = None) -> FamilyResult:
         raise RangeViolation(f"need g >= {2 * a - 10 + 5 * i}, got {g}")
     h1 = (3 * g + 2 * a + i - 10) // 2
     ell = 2 * g - 2 * i + 1
-    # the pairwise gap sumset below is the costly part: fail before building
-    _check_sumset_work(2, g, ell, 0)
+    # the pairwise gap sumset below is the costly part: fail before building.
+    # As _sumset counts it: one level to build, g gaps, width 2 * ell
+    _check_work(g * 2 * ell, "sumset work levels * genus * width")
     gaps = list(range(1, g - i + 1))
     gaps.extend(h1 - (a + 2 * k) for k in range(i - 2))
     gaps.extend((h1, ell))
@@ -133,7 +122,6 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     cross-checked against that inequality.  Tuples with 2g-f divisible by
     N are rejected rather than silently bumping g.
     """
-    _check_genus_cap(g)
     _require_prime(N)
     gamma = htilde.genus
     if g <= rho3(N, gamma):
@@ -148,6 +136,9 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     ell = 2 * g - f
     if ell % N == 0:
         raise PreconditionViolated("2g - f must not be divisible by N")
+    # the output's closure sieve bounds the work: fewer than g elements below
+    # ell/2, each shifted across about ell bits
+    _check_work(g * ell, "cover work g * (2g - f)")
 
     # N*htilde on [0, 2g], and the reflected part ell - r for r <= g - 1
     # outside it, by reversing that complement's bit string over [0, ell]

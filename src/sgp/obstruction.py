@@ -26,17 +26,22 @@ INCONCLUSIVE = "inconclusive"
 class GapSumProfile:
     """The set of sums of n gaps, its size, and the Weierstrass bound.
 
+    sum_bits has bit k set iff k is such a sum; ``sums`` decodes it on read.
     excess is #G_2 - (last_gap - 1) - genus, the number of pairwise sums
     beyond the guaranteed baseline; it is reported only for n == 2 in the
     regime last_gap <= 2*genus - 2 and is None otherwise.
     """
 
     n: int
-    sums: tuple[int, ...]
+    sum_bits: int
     cardinality: int
     bc_bound: int
     passes_bc: bool
     excess: int | None
+
+    @property
+    def sums(self) -> tuple[int, ...]:
+        return _bit_positions(self.sum_bits)
 
 
 def _bc_bound(H: NumericalSemigroup, n: int) -> int:
@@ -69,15 +74,16 @@ def bc_test(n: int) -> Callable[[NumericalSemigroup], bool]:
 
 
 def gap_sum_profile(H: NumericalSemigroup, n: int) -> GapSumProfile:
-    """Exact n-fold sumset of the gap set, with repetition allowed."""
+    """Exact n-fold sumset of the gap set, with repetition allowed, counted
+    by popcount as bc_test counts it."""
     bound = _bc_bound(H, n)
     g = H.genus
-    sums = _bit_positions(H._sumset(n))
-    card = len(sums)
+    bits = H._sumset(n)
+    card = bits.bit_count()
     excess = None
     if n == 2 and H.frobenius <= 2 * g - 2:
         excess = card - (H.frobenius - 1) - g
-    return GapSumProfile(n, sums, card, bound, card <= bound, excess)
+    return GapSumProfile(n, bits, card, bound, card <= bound, excess)
 
 
 def pair_sum_extras(H: NumericalSemigroup) -> tuple[int, ...]:
@@ -104,7 +110,7 @@ def _pairing_verdict(H: NumericalSemigroup) -> str | None:
     i = g - ell // 2  # ell = 2g - 2i + 1
     if i < 4:
         return None
-    hs = _exceptional_gaps(H, g - i)
+    hs = _exceptional_gaps(H)
     if not hs[0] + hs[-1] > 2 * hs[1]:
         return INCONCLUSIVE
     pairs = [(1, v) for v in range(1, i)]

@@ -488,6 +488,17 @@ def test_forked_scan_does_not_load_multiprocessing():
     assert json.loads(proc.stdout.splitlines()[-2])["scanned"] == 1 + 1 + 2 + 4 + 7 + 12 + 23
 
 
+def test_obstruct_counts_sums_without_decoding(capsys, monkeypatch):
+    # the profile's cardinality is a popcount; its sums are decoded on read
+    import sgp.obstruction
+    calls = []
+    monkeypatch.setattr(sgp.obstruction, "_bit_positions",
+                        lambda bits: calls.append(bits) or ())
+    code, out, _ = invoke(capsys, "obstruct", "gens:3,5,7", "--n", "3")
+    assert code == 0 and json.loads(out)["cardinality"] == 9  # 3..10 and 12
+    assert calls == []
+
+
 def test_obstruct_sumset_cap(capsys):
     # wide sumsets (n * frobenius 5 * 10^7 and 1,199,940) and a narrow one
     # all stop at the one work cap
@@ -556,6 +567,13 @@ def test_exit_codes(capsys):
         (["bounds", "eval", "rho3", "2", "-1"], 2, "out", "PreconditionViolated"),
         (["family", "spurious", "--params", "N=2", "gamma=1", "A=3", "t=2",
           "g=16"], 2, "out", "PreconditionViolated"),
+        (["bounds", "eval", "castelnuovo_c", "0", "2"], 64, "err", "Usage"),  # d < 1
+        (["bounds", "eval", "coprime_lower", "gens:3,4"], 64, "err", "Usage"),
+        (["family", "buchweitz", "--params", "g"], 64, "err", "Usage"),  # not k=v
+        (["family", "cover", "--params", "N=2", "g=9", "f=1"], 64, "err", "Usage"),
+        (["scan", "--genus", "5..3", "--predicate", "symmetric"], 64, "err", "Usage"),
+        (["scan", "--genus", "3", "--predicate", "type:2"], 64, "err",
+         "UnknownPredicate"),
     ]
     for argv, want_code, stream, name in cases:
         code, out, err = invoke(capsys, *argv)

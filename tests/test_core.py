@@ -137,18 +137,47 @@ def test_from_generators_matches_sieve_generated(gens):
 
 
 def test_from_generators_window_cap(monkeypatch):
-    # <4, 7> sieves below Schur's bound (4 - 1)(7 - 1) = 18; a gcd-1 prefix
-    # ends the window, so a huge generator past it costs nothing
-    monkeypatch.setattr(sgp.core, "GENERATOR_WINDOW_CAP", 18)
+    # <4, 7> sieves below Schur's bound (4 - 1)(7 - 1) = 18 by 3 + 2
+    # shift-ors (4, 8, 16 and 7, 14): work 90.  A gcd-1 prefix ends the
+    # window, so a huge generator past it costs nothing
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 144)
     assert from_generators([4, 7]).gaps == (1, 2, 3, 5, 6, 9, 10, 13, 17)
     assert from_generators([2, 3, 4 * 10**9 + 1]).gaps == (1,)
-    assert from_generators([4, 6, 7, 9]).gaps == (1, 2, 3, 5)
+    assert from_generators([4, 6, 7, 9]).gaps == (1, 2, 3, 5)  # 8 * 18
+
+    def never_built(*args):
+        raise AssertionError("built past the work cap")
+
+    monkeypatch.setattr(sgp.core, "_bit_positions", never_built)
     with pytest.raises(CapExceeded):
-        from_generators([4, 6, 8, 9])  # the prefix ends at 9: (4 - 1)(9 - 1)
-    monkeypatch.setattr(sgp.core, "GENERATOR_WINDOW_CAP", 17)
+        from_generators([4, 6, 8, 9])  # the prefix ends at 9: 9 * (4 - 1)(9 - 1)
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 89)
     with pytest.raises(CapExceeded) as err:
         from_generators([4, 7])
-    assert str(err.value) == "generator window (a_1 - 1)(a_j - 1) = 18 exceeds cap 17"
+    assert str(err.value) == "generator sieve work shift-ors * window = 90 exceeds cap 89"
+    # <10, 11> sieves a window of 90 in 8 shift-ors (720), and its closure
+    # check shifts by the 14 elements up to F/2 = 44 (1,260): refused before
+    # its gaps are decoded, so no tuple of gaps is built
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 1_000)
+    with pytest.raises(CapExceeded) as err:
+        from_generators([10, 11])
+    assert str(err.value) == ("closure sieve work (elements <= F/2) * conductor"
+                              " = 1260 exceeds cap 1000")
+
+
+def test_closure_work_checked_before_any_bitset(monkeypatch):
+    # read from the sorted gap list: a 10^11-bit membership set is never built
+    with pytest.raises(CapExceeded) as err:
+        from_gaps([1, 10**11])  # 5 * 10^10 - 1 elements <= F/2, 10^11 + 1 bits
+    assert str(err.value) == ("closure sieve work (elements <= F/2) * conductor"
+                              f" = {(5 * 10**10 - 1) * (10**11 + 1)} exceeds cap {10**10}")
+    # the estimate from_generators reads from its window, from the gap list
+    H = from_generators([10, 11])
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 1_259)
+    with pytest.raises(CapExceeded, match=" = 1260 exceeds cap 1259"):
+        from_gaps(H.gaps)
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 1_260)
+    assert from_gaps(H.gaps) == H
 
 
 def test_from_gaps():
@@ -286,6 +315,8 @@ def test_enumerate_genus_range():
     assert [H.genus for H in enumerate_genus_range(4, 4)] == [4] * 7
     with pytest.raises(CapExceeded):
         list(enumerate_genus_range(0, 30))
+    with pytest.raises(ValueError, match="need 0 <= lo <= hi"):
+        enumerate_genus_range(3, 2)
 
 
 def test_enumeration_classical_counts():
@@ -485,6 +516,8 @@ def test_serialization_round_trip():
         assert parse_semigroup(format_semigroup(H)) == H
     assert format_semigroup(from_generators([4, 7])) == "gaps:1,2,3,5,6,9,10,13,17"
     assert format_semigroup(from_generators([4, 7]), "gens") == "gens:4,7"
+    with pytest.raises(ValueError, match="unknown form 'x'"):
+        format_semigroup(from_generators([4, 7]), "x")
 
 
 @pytest.mark.parametrize("bad", [

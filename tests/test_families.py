@@ -12,7 +12,7 @@ from sgp.core import (NumericalSemigroup, format_semigroup, from_gaps,
                       from_generators, natural_gamma)
 from sgp.errors import (CapExceeded, ClaimFailed, NotPrime, ParityViolation,
                         PreconditionViolated, RangeViolation)
-from sgp.families import (FamilyResult, _check_genus_cap, _Claims, _cover_tables,
+from sgp.families import (FamilyResult, _Claims, _cover_tables,
                           buchweitz_family, cover_family,
                           superelliptic_extremal, superelliptic_sharp,
                           superelliptic_spurious)
@@ -143,7 +143,6 @@ def reference_cover_family(htilde, N, g, f):
     """cover_family with H1 read one integer at a time: the scaled set
     N*htilde and its reflection ell - r (r <= g - 1) tested per integer,
     U and V counted over [1, 2g]."""
-    _check_genus_cap(g)
     _require_prime(N)
     gamma = htilde.genus
     if g <= rho3(N, gamma):
@@ -254,6 +253,10 @@ class TestSuperellipticSharp:
             superelliptic_sharp(3, 1, 11)  # L = 9 shares the factor 3 with 2N
         with pytest.raises(PreconditionViolated):
             superelliptic_sharp(2, 2, 6)  # i2 = 0
+        with pytest.raises(NotPrime):
+            superelliptic_sharp(4, 1, 10)
+        with pytest.raises(PreconditionViolated, match="need gamma >= 0"):
+            superelliptic_sharp(2, -1, 5)
 
 
 class TestSuperellipticExtremal:
@@ -285,6 +288,12 @@ class TestSuperellipticExtremal:
                 observed = r.diagnostics["pole_order_match_observed"]
                 assert observed == [a for a in range(lo, hi + 1) if a % 2 == 0]
 
+    def test_guards(self):
+        with pytest.raises(NotPrime):
+            superelliptic_extremal(4, 1)
+        with pytest.raises(PreconditionViolated, match="need gamma >= 0"):
+            superelliptic_extremal(2, -1)
+
 
 class TestSuperellipticSpurious:
     def test_main_instance(self):
@@ -308,8 +317,18 @@ class TestSuperellipticSpurious:
             superelliptic_spurious(2, 1, 3, 2, 16)  # t = N excluded
         with pytest.raises(PreconditionViolated):
             superelliptic_spurious(2, 1, 4, 3, 16)  # t does not divide A
-        with pytest.raises(PreconditionViolated):
-            superelliptic_spurious(2, 1, 3, 3, 17)  # 2g not divisible by rt-1
+        with pytest.raises(PreconditionViolated, match="are not coprime"):
+            superelliptic_spurious(2, 1, 3, 3, 17)  # rt = 3, i1 = 18
+        with pytest.raises(PreconditionViolated, match="divisible by rt - 1 = 3"):
+            superelliptic_spurious(3, 1, 4, 4, 55)
+        with pytest.raises(NotPrime):
+            superelliptic_spurious(4, 1, 4, 2, 16)
+        with pytest.raises(PreconditionViolated, match="need A >= 2"):
+            superelliptic_spurious(2, 1, 2, 2, 16)
+        with pytest.raises(PreconditionViolated, match=r"need t in \[2, 3\]"):
+            superelliptic_spurious(2, 1, 3, 4, 16)
+        with pytest.raises(PreconditionViolated, match="rt = -3 is degenerate"):
+            superelliptic_spurious(2, 0, 6, 3, 16)  # r = 12/3 - 6 + 1
 
 
 def test_buchweitz_output_found_by_obstruction_scan():
@@ -319,12 +338,21 @@ def test_buchweitz_output_found_by_obstruction_scan():
 
 
 def test_genus_cap(monkeypatch):
+    # cover_family checks g * (2g - f), a bound on its output's closure
+    # sieve, before it builds a bitset: 100 * 199 = 19,900 at g = 100
+    import sgp.core
     import sgp.families
-    monkeypatch.setattr(sgp.families, "FAMILY_GENUS_CAP", 100)
     htilde = from_generators([2, 3])
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 19_900)
     assert cover_family(htilde, 2, 100, 1).semigroup.genus == 100
-    with pytest.raises(CapExceeded):
+
+    def never_built(N, count):
+        raise AssertionError("built a bitset past the work cap")
+
+    monkeypatch.setattr(sgp.families, "_multiples", never_built)
+    with pytest.raises(CapExceeded) as err:
         cover_family(htilde, 2, 101, 1)
+    assert str(err.value) == "cover work g * (2g - f) = 20301 exceeds cap 19900"
 
 
 def test_buchweitz_sumset_caps_checked_before_building(monkeypatch):
@@ -341,21 +369,28 @@ def test_buchweitz_sumset_caps_checked_before_building(monkeypatch):
     # the first genus the real cap refuses at i = 4: 50,002 * 2 * 99,997
     with pytest.raises(CapExceeded, match="work .* = 10000099988 exceeds cap"):
         buchweitz_family(50_002, 4)
-    monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 799)
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 799)
     with pytest.raises(CapExceeded, match="work .* = 800 exceeds cap 799"):
         buchweitz_family(16, 4)
     monkeypatch.undo()
-    monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 800)
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 800)
     assert buchweitz_family(16, 4).semigroup.gaps == BUCHWEITZ_GAPS
 
 
 def test_genus_cap_exits_at_once():
-    for params in (["buchweitz", "--params", "g=10000000", "i=4"],
-                   ["buchweitz", "--params", "g=500000", "i=4"],
-                   ["cover", "--params", "htilde=gens:2,3", "N=2", "g=10000001", "f=1"]):
+    # each build's work is estimated from its input and refused before it
+    # starts: a family's, the closure sieve of a listed gap set or of a
+    # sieved window, and a generator sieve of 9 * 10^6 bits shifted 3,000 ways
+    for argv in (["family", "buchweitz", "--params", "g=10000000", "i=4"],
+                 ["family", "buchweitz", "--params", "g=500000", "i=4"],
+                 ["family", "cover", "--params", "htilde=gens:2,3", "N=2", "g=10000001",
+                  "f=1"],
+                 ["info", "gaps:1,1000000"], ["info", "gaps:1,100000000000"],
+                 ["info", "gens:1000,1001"],
+                 ["info", "gens:" + ",".join(map(str, range(3000, 6000)))]):
         t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "sgp.cli", "family", *params],
+        proc = subprocess.run([sys.executable, "-m", "sgp.cli", *argv],
                               capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2, params
+        assert proc.returncode == 2, argv[:3]
         assert '"CapExceeded"' in proc.stdout
-        assert time.perf_counter() - t0 < 1, params
+        assert time.perf_counter() - t0 < 1, argv[:3]

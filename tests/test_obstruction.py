@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgp.core import (SUMSET_CACHED_LEVELS, SUMSET_WORK_CAP, NumericalSemigroup,
-                      _check_sumset_work, descendants, from_gaps, from_generators,
-                      tree_children)
+from sgp.core import (SUMSET_CACHED_LEVELS, WORK_CAP, NumericalSemigroup, descendants,
+                      from_gaps, from_generators, tree_children)
 from sgp.errors import CapExceeded, GenusTooSmall, WrongShape
 from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, bc_test,
                              gap_sum_profile, pair_sum_extras,
@@ -67,6 +66,15 @@ def test_sumset_width_cap():
     assert bc_test(3)(H) is False
 
 
+def sumset_shell(genus, frobenius, built):
+    """A semigroup with only the fields _sumset's work check reads, and
+    ``built`` kept levels (one at least) that are empty bitsets: past the
+    check, its levels build from no gaps, so nothing wide is allocated."""
+    H = object.__new__(NumericalSemigroup)
+    H.genus, H.frobenius, H._sumsets = genus, frobenius, (0,) * max(built, 1)
+    return H
+
+
 @given(st.integers(2, 10**6), st.data())
 @settings(max_examples=300, deadline=None)
 def test_work_cap_bounds_sumset_width(n, data):
@@ -75,26 +83,26 @@ def test_work_cap_bounds_sumset_width(n, data):
     built = data.draw(st.integers(0, min(n - 1, SUMSET_CACHED_LEVELS)))
     frobenius = data.draw(st.integers(1, 10**6 // n + 1) | st.integers(1, 10**6))
     try:
-        _check_sumset_work(n, (frobenius + 2) // 2, frobenius, built)
+        sumset_shell((frobenius + 2) // 2, frobenius, built)._sumset(n)
     except CapExceeded:
         return
     width = n * frobenius
-    assert width**2 < 2 * (SUMSET_CACHED_LEVELS + 1) * SUMSET_WORK_CAP < 10**12
+    assert width**2 < 2 * (SUMSET_CACHED_LEVELS + 1) * WORK_CAP < 10**12
 
 
 def test_work_cap_width_boundary():
     # the widest level the work cap admits: n = 9 from 8 kept levels at the
     # least genus 23,570 of frobenius 47,139, width 424,251 bits
-    _check_sumset_work(9, 23_570, 47_139, 8)
+    sumset_shell(23_570, 47_139, 8)._sumset(9)
     with pytest.raises(CapExceeded, match="= 10000232460 exceeds cap"):
-        _check_sumset_work(9, 23_571, 47_140, 8)
+        sumset_shell(23_571, 47_140, 8)._sumset(9)
 
 
 def test_sumset_work_cap(monkeypatch):
     # the check, not the blow-up: new levels * genus * n * frobenius against
     # the cap, before a level is built; <3, 4> has genus 3, frobenius 5
     import sgp.core
-    monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 180)
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 180)
     H = from_generators([3, 4])
     # levels 2..4 from scratch: 3 * 3 * 20 = 180
     assert gap_sum_profile(H, 4).cardinality == len(brute_sums(H.gaps, 4))
@@ -106,12 +114,12 @@ def test_sumset_work_cap(monkeypatch):
     # a tree child carries the levels its parent kept, so it pays nothing
     root = from_generators([3, 4, 5])
     gap_sum_profile(root, 5)  # 4 * 2 * 10
-    monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 0)
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 0)
     children = tree_children(root)
     assert len(children) == 3
     for child in children:
         assert gap_sum_profile(child, 5).sums == tuple(brute_sums(child.gaps, 5))
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="sumset work"):
             gap_sum_profile(NumericalSemigroup(child.gaps), 5)
 
 
@@ -197,9 +205,9 @@ def test_bc_test_reads_carried_levels(monkeypatch):
             H = next(kid for kid in tree_children(H) if kid.frobenius == x)
         assert H.gaps == BUCHWEITZ_GAPS and len(H._sumsets) >= n
         assert test(H) is expected
-        monkeypatch.setattr(sgp.core, "SUMSET_WORK_CAP", 0)
+        monkeypatch.setattr(sgp.core, "WORK_CAP", 0)
         assert test(H) is expected
-        with pytest.raises(CapExceeded, match="exceeds cap 0"):
+        with pytest.raises(CapExceeded, match="sumset work .* exceeds cap 0"):
             test(NumericalSemigroup(H.gaps))
         monkeypatch.undo()
 
