@@ -15,18 +15,26 @@ from typing import Callable
 
 from .bounds import divisor_condition, rho1, rho3
 from .core import NumericalSemigroup, _exceptional_gaps, _multiples, natural_gamma
-from .errors import GenusZero, NotPrime, PreconditionViolated
+from .errors import CapExceeded, GenusZero, NotPrime, PreconditionViolated
+
+
+# the least strong pseudoprime to all the bases: Miller-Rabin is exact below it
+PRIME_CAP = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; intended for the small N used throughout."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; n >= PRIME_CAP raises CapExceeded."""
+    if n >= PRIME_CAP:
+        raise CapExceeded(f"{n} exceeds the primality cap {PRIME_CAP}")
+    if n < 2 or n in _PRIME_BASES:
+        return n >= 2
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        # a prime n makes x 1, or one of x^(2^i) with i < s equal to -1
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False
-        d += 1
     return True
 
 

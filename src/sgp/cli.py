@@ -59,18 +59,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _gap_list(gaps: tuple[int, ...]) -> dict[str, Any]:
+def _gap_list(gaps: tuple[int, ...], genus: int) -> dict[str, Any]:
     payload: dict[str, Any] = {"gaps": list(gaps[:GAP_LIST_CAP])}
-    if len(gaps) > GAP_LIST_CAP:
+    if genus > GAP_LIST_CAP:
         payload["gaps_truncated"] = True
-        payload["gaps_omitted"] = len(gaps) - GAP_LIST_CAP
+        payload["gaps_omitted"] = genus - GAP_LIST_CAP
     return payload
 
 
 def _semigroup_json(H: NumericalSemigroup) -> dict[str, Any]:
     out: dict[str, Any] = {"genus": H.genus, "frobenius": H.frobenius,
                            "conductor": H.conductor}
-    out.update(_gap_list(H.gaps))
+    # only the gaps printed are decoded
+    out.update(_gap_list(core_mod._bit_positions(H._gap_bits(), GAP_LIST_CAP), H.genus))
     out["min_gens"] = list(H.min_generators)
     return out
 
@@ -430,7 +431,7 @@ def _cmd_scan(args) -> list[dict[str, Any]]:
         parts = [_scan_worker(shard, lo, predicate) for shard in shards]
     scanned = sum(part_scanned for part_scanned, _ in parts)
     rows = sorted(row for _, part_rows in parts for row in part_rows)
-    out = [{"genus": genus, **_gap_list(gaps), "min_gens": list(min_gens)}
+    out = [{"genus": genus, **_gap_list(gaps, genus), "min_gens": list(min_gens)}
            for genus, gaps, min_gens in rows]
     out.append({"summary": True, "predicate": args.predicate, "genus": [lo, hi],
                 "scanned": scanned, "matched": len(rows)})

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
+from operator import eq, ge
 from typing import Iterable, Iterator
 
 from .errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
@@ -28,6 +29,7 @@ SUMSET_CACHED_LEVELS = 8
 # built sumset level's width W = n * F below 424,264 bits, as g > F/2:
 # W^2 < 2 * n/(n - built) * work <= 2 * (SUMSET_CACHED_LEVELS + 1) * cap
 WORK_CAP = 10**10
+_SIEVE_WORK = "closure sieve work (elements <= F/2) * conductor"
 
 
 class NumericalSemigroup:
@@ -39,31 +41,29 @@ class NumericalSemigroup:
     when two elements sum to a listed gap.  Tree children skip that sieve:
     ``tree_children`` builds all of a node's children in one pass over its
     fields, from its effective generators (the minimal generators above
-    the Frobenius number), whose removal keeps closure.  A tree child's
-    gap tuple, the elements below the conductor, the effective and the
-    minimal generators and the n-fold gap sumsets are derived on first use
-    and cached, so a node pays only for what is read of it; tree children
-    derive their generators and carry their sumsets from the parent's.
+    the Frobenius number), whose removal keeps closure.  The bitset is all
+    a constructor builds: the gap tuple, the elements below the conductor,
+    the effective and the minimal generators and the n-fold gap sumsets
+    are derived on first use and cached, so a semigroup pays only for what
+    is read of it; tree children derive their generators and carry their
+    sumsets from the parent's.
     """
 
     __slots__ = ("_gaps", "genus", "frobenius", "conductor", "_member_bits",
                  "_small", "_min_gens", "_eff", "_parent", "_sumsets")
 
-    def __init__(self, gaps: Iterable[int] = ()):
-        gap_list = sorted(set(gaps))
-        if gap_list and gap_list[0] < 1:
+    def __init__(self, gaps: Iterable[int] | int = ()):
+        """``gaps``: the gaps in any order, or their bitset (bit k: k is a gap)."""
+        gap_bits = gaps if isinstance(gaps, int) else _position_bits(gaps)
+        if gap_bits < 0 or gap_bits & 1:
             raise ValueError("gaps must be positive integers")
-        self._gaps = tuple(gap_list)
-        self.genus = len(gap_list)
-        self.frobenius = gap_list[-1] if gap_list else -1
+        self._gaps: tuple[int, ...] | None = None
+        self.genus = gap_bits.bit_count()
+        self.frobenius = gap_bits.bit_length() - 1
         self.conductor = self.frobenius + 1
         half = self.frobenius // 2
-        # the closure sieve shifts the membership bits once per element <= F/2
-        _check_work((half - bisect_right(gap_list, half)) * self.conductor,
-                    "closure sieve work (elements <= F/2) * conductor")
-        gap_bits = 0
-        for v in gap_list:
-            gap_bits |= 1 << v
+        _check_work((half - (gap_bits & ((1 << half + 1) - 1)).bit_count()) * self.conductor,
+                    _SIEVE_WORK)
         # bit k set iff k in H, for 0 <= k <= conductor
         self._member_bits = ((1 << (self.conductor + 1)) - 1) & ~gap_bits
         self._small: tuple[int, ...] | None = None
@@ -72,9 +72,7 @@ class NumericalSemigroup:
         # a tree child's parent; the child is the parent minus its frobenius
         self._parent: NumericalSemigroup | None = None
         self._sumsets: tuple[int, ...] = ()
-        self._check_closure(gap_bits)
-
-    def _check_closure(self, gap_bits: int) -> None:
+        # the closure sieve: the least gap that two elements sum to, if any
         pos = self._member_bits & ~1
         bad = _pair_sums(pos, self.frobenius) & gap_bits
         if bad:
@@ -103,7 +101,7 @@ class NumericalSemigroup:
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        """The gaps, ascending; a tree child decodes them on first read."""
+        """The gaps, ascending, decoded from the bitset on first read."""
         if self._gaps is None:
             self._gaps = _bit_positions(self._gap_bits())
         return self._gaps
@@ -128,8 +126,9 @@ class NumericalSemigroup:
 
     @property
     def multiplicity(self) -> int:
-        """Least positive element."""
-        return self.element_at(1)
+        """Least positive element: the lowest member bit above bit 0."""
+        b = self._member_bits >> 1 or 1  # the naturals keep only bit 0
+        return (b & -b).bit_length()
 
     @property
     def min_generators(self) -> tuple[int, ...]:
@@ -141,13 +140,9 @@ class NumericalSemigroup:
     def _compute_min_generators(self) -> tuple[int, ...]:
         if self.genus == 0:
             return (1,)
-        m1 = self.element_at(1)
-        bound = self.conductor + m1  # every minimal generator is < conductor + m1
-        ext = self._member_bits | (((1 << (bound - self.conductor)) - 1) << self.conductor)
-        pos = ext & ~1
-        sums = _pair_sums(pos, bound - 1)
-        return tuple(x for x in range(1, bound)
-                     if pos >> x & 1 and not sums >> x & 1)
+        bound = self.conductor + self.multiplicity  # every minimal generator is below
+        pos = ((1 << bound) - 2) & ~self._gap_bits()  # the elements 0 < a < bound
+        return _bit_positions(pos & ~_pair_sums(pos, bound - 1))
 
     def _gap_bits(self) -> int:
         """Bitset of the gaps: bit k set iff k is a gap."""
@@ -257,12 +252,30 @@ def _pair_sums(pos: int, limit: int) -> int:
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _bit_positions(bits: int) -> tuple[int, ...]:
-    """Positions of the set bits of ``bits`` >= 0, ascending: the reversed
-    bin() digits, as bytes 0 and 1, select from a range in C."""
+def _bit_positions(bits: int, count: int | None = None) -> tuple[int, ...]:
+    """Positions of the set bits of ``bits`` >= 0, ascending, or the first
+    ``count`` of them: the reversed bin() digits, as bytes 0 and 1, select
+    from a range in C."""
     flags = bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)
     # built from a list: tuples built from iterators pile up on CPython's free lists
-    return tuple([*compress(range(len(flags)), flags)])
+    return tuple([*islice(compress(range(len(flags)), flags), count)])
+
+
+def _position_bits(gaps: Iterable[int]) -> int:
+    """The bitset of positive ``gaps`` in any order, the inverse of
+    _bit_positions.  The sorted list's signs and closure sieve work (each
+    distinct gap once) are checked before the ASCII digits are allocated."""
+    ordered = sorted(gaps)
+    if ordered and ordered[0] < 1:
+        raise ValueError("gaps must be positive integers")
+    top = ordered[-1] if ordered else 0
+    k = bisect_right(ordered, top // 2)
+    repeats = sum(map(eq, ordered, islice(ordered, 1, k)))
+    _check_work((top // 2 - k + repeats) * (top + 1), _SIEVE_WORK)
+    digits = bytearray(b"0") * (top + 1)
+    for v in ordered:
+        digits[top - v] = 49  # b"1", most significant first
+    return int(digits, 2)
 
 
 def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:
@@ -279,8 +292,7 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     Requires gcd(gens) == 1, otherwise the complement is infinite.  Every
     gap lies below Schur's bound (a_1 - 1)(a_j - 1), with a_1 < ... < a_j
     the shortest prefix whose gcd is 1.  The sieve's work is checked before
-    that window is allocated, and the constructor's closure sieve before
-    the gaps are decoded.
+    that window is allocated; the constructor checks its closure sieve's.
     """
     gen_list = sorted(set(gens))
     if not gen_list:
@@ -302,12 +314,7 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
         while s < window:
             bits |= (bits << s) & mask
             s *= 2
-    gap_bits = mask & ~bits
-    conductor = gap_bits.bit_length()
-    # as the constructor checks it: the elements 0 < a <= F/2 times the conductor
-    small = (bits & ((1 << (conductor + 1) // 2) - 1)).bit_count() - 1
-    _check_work(small * conductor, "closure sieve work (elements <= F/2) * conductor")
-    return NumericalSemigroup(_bit_positions(gap_bits))
+    return NumericalSemigroup(mask & ~bits)
 
 
 def _multiples(N: int, count: int) -> int:
@@ -453,30 +460,30 @@ def parse_semigroup(text: str) -> NumericalSemigroup:
     separated with no whitespace; ``gaps:`` with an empty body denotes
     the naturals.
     """
-    if text.startswith("gens:"):
-        kind, body = "gens", text[5:]
-    elif text.startswith("gaps:"):
-        kind, body = "gaps", text[5:]
-    else:
+    kind, colon, body = text.partition(":")
+    if not colon or kind not in ("gens", "gaps"):
         raise ValueError(f"semigroup spec must start with 'gens:' or 'gaps:': {text!r}")
+    values: list[int] = []
     if body:
-        tokens = body.split(",")
-        if not (body.isascii() and all(tok.isdigit() for tok in tokens)):
+        # every token nonempty ASCII digits, checked on the whole body in C:
+        # an empty token shows as ",," once the body is wrapped in commas
+        if not (body.isascii() and body.replace(",", "").isdigit()) or ",," in f",{body},":
             raise ValueError(f"malformed integer list in {text!r}")
-        values = [int(tok) for tok in tokens]
-        if any(b <= a for a, b in zip(values, values[1:])):
+        at = 0
+        while at <= len(body):  # a chunk at a time: few token strings at once
+            end = body.find(",", at + 16384) % (len(body) + 1)  # -1: the end
+            values += map(int, body[at:end].split(","))
+            at = end + 1
+        if any(map(ge, values, islice(values, 1, None))):
             raise ValueError(f"values must be strictly ascending in {text!r}")
-    else:
-        values = []
-    if kind == "gens":
-        return from_generators(values)
-    return from_gaps(values)
+    return (from_generators if kind == "gens" else from_gaps)(values)
 
 
 def format_semigroup(H: NumericalSemigroup, form: str = "gaps") -> str:
     """Serialize to the text form; ``gaps`` is the canonical one."""
     if form == "gaps":
-        return "gaps:" + ",".join(map(str, H.gaps))
+        # the list's repr makes no string per gap, as a join would
+        return "gaps:" + repr(list(H.gaps))[1:-1].replace(" ", "")
     if form == "gens":
         return "gens:" + ",".join(map(str, H.min_generators))
     raise ValueError(f"unknown form {form!r}")

@@ -15,8 +15,8 @@ from typing import Any
 
 from .bounds import coprime_lower_bound, divisor_condition, rho1, rho3
 from .classify import _require_prime, project_by_n, type_verdict
-from .core import (NumericalSemigroup, _bit_positions, _check_work, _multiples,
-                   format_semigroup, from_generators, natural_gamma)
+from .core import (NumericalSemigroup, _check_work, _multiples, format_semigroup,
+                   from_generators, natural_gamma)
 from .errors import ClaimFailed, ParityViolation, PreconditionViolated, RangeViolation
 from .obstruction import NOT_WEIERSTRASS, gap_sum_profile, pairing_obstruction
 
@@ -78,10 +78,8 @@ def buchweitz_family(g: int, i: int, a: int | None = None) -> FamilyResult:
     # the pairwise gap sumset below is the costly part: fail before building.
     # As _sumset counts it: one level to build, g gaps, width 2 * ell
     _check_work(g * 2 * ell, "sumset work levels * genus * width")
-    gaps = list(range(1, g - i + 1))
-    gaps.extend(h1 - (a + 2 * k) for k in range(i - 2))
-    gaps.extend((h1, ell))
-    H = NumericalSemigroup(gaps)
+    H = NumericalSemigroup([*range(1, g - i + 1), *(h1 - a - 2 * k for k in range(i - 2)),
+                            h1, ell])
 
     sheet = _Claims("buchweitz_family")
     sheet.check("genus", g, H.genus)
@@ -148,7 +146,7 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     reflected = int(format(outside, f"0{ell + 1}b")[::-1], 2)
     # the members of H1 in [0, 2g]: every integer above ell is one
     members = scaled | reflected | ((1 << (2 * g + 1)) - (1 << (ell + 1)))
-    gaps = _bit_positions(~members & ((1 << (ell + 1)) - 1))
+    gap_bits = ~members & ((1 << (ell + 1)) - 1)
     # U counts the members of [1, 2g] at multiples of N or at 2g, V the rest
     u_direct = (members & (multiples | 1 << (2 * g))).bit_count()
     v_direct = members.bit_count() - 1 - u_direct
@@ -167,7 +165,7 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     sheet.check("branch_matches_interval_rule", N < 2 * u < N + f, h2_branch)
     if h2_branch:
         sheet.check("removed_element_was_present", True, members >> e & 1 == 1)
-        gaps += (e,)
+        gap_bits |= 1 << e
     else:
         sheet.check("element_count_up_to_2g", g, u_direct + v_direct)
     u_table, v_table = _cover_tables(g, N, gamma, lam, u, f)
@@ -176,7 +174,7 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     sheet.check("U_matches_case_table", u_table, u_direct)
     sheet.check("V_matches_case_table", v_table, v_direct)
 
-    H = NumericalSemigroup(gaps)
+    H = NumericalSemigroup(gap_bits)
     sheet.check("genus", g, H.genus)
     sheet.check("last_gap", ell, H.frobenius)
     sheet.check("type_verdict", True, type_verdict(H, N, gamma).is_type)

@@ -7,19 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgp.bounds import rho1
-from sgp.classify import (TypeVerdict, arithmetic_cover_criterion,
+from sgp.classify import (PRIME_CAP, TypeVerdict, arithmetic_cover_criterion,
                           exclusive_types, is_prime, is_type_by_genus,
                           is_type_by_tail, leading_gcd, project_by_n,
                           symmetry_profile, type_test, type_verdict)
 from sgp.core import (NumericalSemigroup, descendants, from_gaps, from_generators,
                       natural_gamma)
-from sgp.errors import GenusZero, NotPrime, PreconditionViolated
+from sgp.errors import CapExceeded, GenusZero, NotPrime, PreconditionViolated
 
 BUCHWEITZ_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
 
 
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert all(is_prime(n) == _is_prime_by_trial_division(n) for n in range(-3, 10**5))
+    # a Carmichael number, then the least strong pseudoprimes to the prime
+    # bases 2 .. 7, 2 .. 23 (3.8 * 10^18) and 2 .. 37 (3.2 * 10^23)
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    assert not is_prime(PRIME_CAP - 1)
+    for n in (PRIME_CAP, 10**25):
+        with pytest.raises(CapExceeded, match="exceeds the primality cap"):
+            is_prime(n)
 
 
 def test_type_verdict_examples():

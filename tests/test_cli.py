@@ -554,6 +554,34 @@ def test_gap_list_truncation(capsys):
     assert payload["gaps_omitted"] == big.genus - 512
 
 
+def test_info_and_project_decode_only_printed_gaps(capsys, monkeypatch):
+    # 50,000 listed gaps: info decodes the GAP_LIST_CAP it prints and the
+    # two minimal generators; project decodes none of its input's gaps
+    import sgp.core
+    from sgp.cli import GAP_LIST_CAP
+    original = sgp.core._bit_positions
+    decoded = []
+
+    def counting(bits, count=None):
+        positions = original(bits, count)
+        decoded.append(len(positions))
+        return positions
+
+    monkeypatch.setattr(sgp.core, "_bit_positions", counting)
+    spec = "gaps:" + ",".join(map(str, range(1, 100_000, 2)))
+    code, out, _ = invoke(capsys, "info", spec)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gaps"] == list(range(1, 2 * GAP_LIST_CAP, 2))
+    assert payload["gaps_omitted"] == 50_000 - GAP_LIST_CAP
+    assert payload["min_gens"] == [2, 100_001]
+    assert sorted(decoded) == [2, GAP_LIST_CAP]
+    decoded.clear()
+    code, out, _ = invoke(capsys, "project", spec, "--N", "2")
+    assert code == 0 and json.loads(out)["genus"] == 0
+    assert max(decoded) <= GAP_LIST_CAP + 1
+
+
 def test_exit_codes(capsys):
     # argv, exit code, stream that carries the JSON error line, error.name
     cases = [

@@ -180,6 +180,21 @@ def test_closure_work_checked_before_any_bitset(monkeypatch):
     assert from_gaps(H.gaps) == H
 
 
+def test_closure_work_counts_each_gap_once(monkeypatch):
+    # a gap listed twice, or in any order, leaves the estimate as it is, and
+    # the list is refused before the bytearray its bitset is read from
+    gaps = from_generators([10, 11]).gaps
+
+    def never(*args):
+        raise AssertionError("allocated past the work cap")
+
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 1_259)
+    monkeypatch.setattr(sgp.core, "bytearray", never, raising=False)
+    for listed in ([*gaps, *gaps[:20]], [*reversed(gaps), *gaps[:5]], set(gaps)):
+        with pytest.raises(CapExceeded, match=" = 1260 exceeds cap 1259"):
+            from_gaps(listed)
+
+
 def test_from_gaps():
     assert from_gaps({1}).min_generators == (2, 3)
     buch = from_gaps(list(range(1, 13)) + [19, 21, 24, 25])
@@ -190,6 +205,72 @@ def test_from_gaps():
     assert exc.value.witness == (2, 2)
     with pytest.raises(ValueError):
         from_gaps({0, 2})
+    with pytest.raises(ValueError):
+        from_gaps([-3, 2])
+
+
+def test_constructor_takes_a_gap_bitset():
+    # bit k set iff k is a gap; the bits go through the same checks as a list
+    H = from_generators([4, 7])
+    assert NumericalSemigroup(H._gap_bits()) == H
+    assert NumericalSemigroup(0) == NumericalSemigroup()
+    for bad in (1, 0b101, -2):
+        with pytest.raises(ValueError, match="gaps must be positive integers"):
+            NumericalSemigroup(bad)
+    with pytest.raises(NotASemigroup) as exc:
+        NumericalSemigroup(1 << 1 | 1 << 4)
+    assert exc.value.witness == (2, 2)
+
+
+def test_multiplicity_decodes_nothing(monkeypatch, by_genus):
+    expected = [(H, H.element_at(1)) for g in range(9) for H in by_genus(g)]
+
+    def never(*args):
+        raise AssertionError("decoded a bitset")
+
+    monkeypatch.setattr(sgp.core, "_bit_positions", never)
+    assert all(H.multiplicity == m for H, m in expected)
+    assert from_generators([2, 100_001]).multiplicity == 2
+    assert NumericalSemigroup().multiplicity == 1
+
+
+def _sieve_witness(gaps):
+    """The witness the closure sieve reports, by definition: the least gap x
+    that two positive non-gaps sum to, as a + (x - a) with a least."""
+    gap_set = set(gaps)
+    for x in sorted(gap_set):
+        for a in range(1, x // 2 + 1):
+            if a not in gap_set and x - a not in gap_set:
+                return a, x - a
+    return None
+
+
+def test_non_semigroup_gap_sets_report_the_sieve_witness():
+    # every subset of 1..11, as a list, a set, a reversed iterator and a bitset
+    for mask in range(1 << 11):
+        gaps = [k for k in range(1, 12) if mask >> (k - 1) & 1]
+        witness = _sieve_witness(gaps)
+        for form in (gaps, set(gaps), reversed(gaps), mask << 1):
+            if witness is None:
+                assert NumericalSemigroup(form).gaps == tuple(gaps)
+            else:
+                with pytest.raises(NotASemigroup) as exc:
+                    NumericalSemigroup(form)
+                assert exc.value.witness == witness, gaps
+
+
+def test_constructions_agree_exhaustive():
+    # every semigroup to genus 14, built every way a caller can build one
+    for H in descendants(NumericalSemigroup(), 14):
+        gaps = H.gaps
+        want = (H._member_bits, H.genus, H.frobenius, H.min_generators)
+        builds = [from_gaps(gaps), from_gaps(set(gaps)), from_gaps(g for g in gaps),
+                  from_gaps([*reversed(gaps), *gaps[:2]]),
+                  NumericalSemigroup(H._gap_bits()), from_generators(H.min_generators),
+                  parse_semigroup(format_semigroup(H, "gaps")),
+                  parse_semigroup(format_semigroup(H, "gens"))]
+        for K in builds:
+            assert (K._member_bits, K.genus, K.frobenius, K.min_generators) == want, gaps
 
 
 def test_element_at():
@@ -420,8 +501,8 @@ def test_children_builder_matches_child_exhaustive():
 def test_walk_derives_generators_only_where_read(monkeypatch):
     # a walk to genus 12 expands the nodes of genus < 12 and reads nothing
     # else: effective generators are derived for exactly those, no node
-    # builds its full generator tuple, and no node decodes its small
-    # elements or, below the root, its gap tuple
+    # builds its full generator tuple, and no node, the root included,
+    # decodes its small elements or its gap tuple
     derived = []
     built = []
     original = NumericalSemigroup._effective_generators
@@ -450,7 +531,7 @@ def test_walk_derives_generators_only_where_read(monkeypatch):
     assert all(H._min_gens is None for H in nodes)
     assert all(H._small is None for H in nodes)
     assert all(H._eff is None for H in nodes if H.genus == 12)
-    assert nodes[0]._gaps == () and all(H._gaps is None for H in nodes[1:])
+    assert all(H._gaps is None for H in nodes)
     # an emitted leaf derives its generators when they are read, and then
     # lets go of its parent
     leaf = next(H for H in nodes if H.genus == 12 and H.frobenius > 12)
@@ -523,10 +604,68 @@ def test_serialization_round_trip():
 @pytest.mark.parametrize("bad", [
     "4,7", "gens:4, 7", "gens:7,4", "gaps:1,1", "gens:-2,3", "gens:4;7", "spam:1",
     "gens:\u00b2", "gens:\u0663,\u0664", "gaps:\uff11",
+    "gens:,4", "gens:4,", "gaps:1,,2", "gens:,",
 ])
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(ValueError):
+    # the body is checked whole, as if each comma-separated token were:
+    # nonempty and ASCII digits only, then strictly ascending
+    if bad in ("4,7", "spam:1"):
+        message = f"semigroup spec must start with 'gens:' or 'gaps:': {bad!r}"
+    elif bad in ("gens:7,4", "gaps:1,1"):
+        message = f"values must be strictly ascending in {bad!r}"
+    else:
+        message = f"malformed integer list in {bad!r}"
+    with pytest.raises(ValueError) as err:
         parse_semigroup(bad)
+    assert str(err.value) == message
+
+
+def _values_by_tokens(text):
+    """The parser's integer list by its per-token rules, as a reference:
+    each comma-separated token ASCII digits, then strictly ascending."""
+    kind, body = text[:5], text[5:]
+    if kind not in ("gens:", "gaps:"):
+        raise ValueError(f"semigroup spec must start with 'gens:' or 'gaps:': {text!r}")
+    if not body:
+        return kind, []
+    tokens = body.split(",")
+    if not (body.isascii() and all(tok.isdigit() for tok in tokens)):
+        raise ValueError(f"malformed integer list in {text!r}")
+    values = [int(tok) for tok in tokens]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"values must be strictly ascending in {text!r}")
+    return kind, values
+
+
+# bodies of at most 8 characters keep every generator sieve window small
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["gens:", "gaps:", "gen:", "gaps"]),
+       st.text(alphabet="0123456789,,,+- \u00b2\u0663", max_size=8))
+def test_parse_matches_per_token_rules(prefix, body):
+    text = prefix + body
+    try:
+        kind, values = _values_by_tokens(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            parse_semigroup(text)
+        assert str(err.value) == str(exc)
+        return
+    build = from_generators if kind == "gens:" else from_gaps
+    assert _build_outcome(parse_semigroup, text) == _build_outcome(build, values)
+
+
+def test_parse_reads_long_lists_in_chunks():
+    # the body is split a chunk of characters at a time; tokens across the
+    # chunk boundaries, leading zeros and a single token parse as one list
+    values = list(range(1, 40_000, 3))
+    H = parse_semigroup("gens:" + ",".join(map(str, values)))
+    assert H == from_generators(values)
+    assert parse_semigroup("gens:0004,07") == from_generators([4, 7])
+    assert parse_semigroup("gens:1") == NumericalSemigroup()
+    spec = "gaps:" + ",".join(map(str, range(1, 100_000, 2)))
+    assert parse_semigroup(spec) == from_generators([2, 100_001])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        parse_semigroup(spec + ",99999")
 
 
 @st.composite

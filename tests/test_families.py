@@ -380,8 +380,12 @@ def test_buchweitz_sumset_caps_checked_before_building(monkeypatch):
 def test_genus_cap_exits_at_once():
     # each build's work is estimated from its input and refused before it
     # starts: a family's, the closure sieve of a listed gap set or of a
-    # sieved window, and a generator sieve of 9 * 10^6 bits shifted 3,000 ways
-    for argv in (["family", "buchweitz", "--params", "g=10000000", "i=4"],
+    # sieved window, and a generator sieve of 9 * 10^6 bits shifted 3,000
+    # ways.  A prime N near 10^18 is proved prime at once, and then refused
+    # on its generator sieve; an N past the primality cap is refused as is
+    for argv in (["family", "extremal", "--params", "N=1000000000000000003", "gamma=0"],
+                 ["family", "extremal", "--params", f"N={10**25}", "gamma=0"],
+                 ["family", "buchweitz", "--params", "g=10000000", "i=4"],
                  ["family", "buchweitz", "--params", "g=500000", "i=4"],
                  ["family", "cover", "--params", "htilde=gens:2,3", "N=2", "g=10000001",
                   "f=1"],
