@@ -14,7 +14,8 @@ from math import gcd
 from typing import Callable
 
 from .bounds import divisor_condition, rho1, rho3
-from .core import NumericalSemigroup, _exceptional_gaps, _multiples, natural_gamma
+from .core import (NumericalSemigroup, _bit_positions, _exceptional_bits, _multiples,
+                   natural_gamma)
 from .errors import CapExceeded, GenusZero, NotPrime, PreconditionViolated
 
 
@@ -134,7 +135,9 @@ def is_type_by_tail(H: NumericalSemigroup, N: int) -> bool:
     """Sufficient condition: every element not divisible by N exceeds
     2N*gamma_n.  When it holds, H is of type (N, gamma_n)."""
     gamma = natural_gamma(H, N)
-    return all(h % N == 0 for h in range(1, 2 * N * gamma + 1) if h in H)
+    top = 2 * N * gamma  # at most 2F: gamma counts gaps divisible by N
+    # the elements in [1, top] less the multiples of N, by one AND
+    return ((2 << top) - 2) & ~H._gap_bits() & ~_multiples(N, 2 * gamma) == 0
 
 
 def is_type_by_genus(H: NumericalSemigroup, N: int) -> bool:
@@ -195,7 +198,7 @@ def symmetry_profile(H: NumericalSemigroup) -> SymmetryProfile:
         kind = "quasi_symmetric"
     else:
         kind = "general"
-    return SymmetryProfile(kind, g - ell // 2, _exceptional_gaps(H))
+    return SymmetryProfile(kind, g - ell // 2, _bit_positions(_exceptional_bits(H))[::-1])
 
 
 def arithmetic_cover_criterion(H: NumericalSemigroup, N: int, gamma: int) -> bool:

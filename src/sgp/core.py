@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, repeat
 from operator import eq, ge
 from typing import Iterable, Iterator
 
@@ -24,10 +24,15 @@ DEFAULT_GENUS_CAP = 25
 SUMSET_CACHED_LEVELS = 8
 # most bits shifted by one costly build, estimated from its input before it
 # starts (_check_work): the generator sieve, the constructor's closure sieve,
-# cover_family's output and the gap sumset levels _sumset builds.  It is 3x
-# the largest query_mix sumset (n = 20, F = 4177: 3.3e9), and it bounds each
-# built sumset level's width W = n * F below 424,264 bits, as g > F/2:
-# W^2 < 2 * n/(n - built) * work <= 2 * (SUMSET_CACHED_LEVELS + 1) * cap
+# cover_family's output and the gap sumset levels _sumset builds.  It is
+# over 5x the largest query_mix build (a closure sieve of 1.8e9; the largest
+# sumset, the pairwise one of buchweitz_family(19374, 6), is 1.5e9).  With
+# the closure estimate it bounds each built sumset level's width W = n * F
+# by 25,041,726 bits: a level costs at least (m - 1) + bitlen(F // m)
+# shift-ors for m the multiplicity, as the class of F holds more than F // m
+# gaps, and the closure estimate, at least (F // 2) // m elements up to F/2
+# times F + 1, bounds F for each m; the widest admitted is n = 9 from 8 kept
+# levels at m = 387, F = 2,782,414 (tests: WIDEST_SUMSET_LEVEL)
 WORK_CAP = 10**10
 _SIEVE_WORK = "closure sieve work (elements <= F/2) * conductor"
 
@@ -151,29 +156,61 @@ class NumericalSemigroup:
     def _sumset(self, n: int) -> int:
         """Bitset of the sums of n gaps, with repetition allowed.
 
-        S_j is built from S_{j-1} by one shift-or per gap.  The first
-        SUMSET_CACHED_LEVELS levels are kept in ``_sumsets``, so a large n
-        holds no more than that many bitsets.  Only the levels still to
-        build count against WORK_CAP, so carried ones cost nothing, and so
-        does the first: one shift-or per gap and new level, F * n bits wide.
+        The gaps congruent to r (mod m), m the multiplicity, are r, r + m,
+        ..., w - m for w the Apery element of the class, so S_j is the OR
+        over the classes of S_{j-1} << r smeared w // m times by step m.
+        The classes go by ascending size, and one smear, widened by
+        doubling, serves them all (``_progressions``): a level costs one
+        shift-or per class and per doubling, never more than one per gap.
+        The first SUMSET_CACHED_LEVELS levels are kept in ``_sumsets``, so
+        a large n holds no more than that many bitsets; a tree child still
+        linked to its parent carries those down from it instead
+        (``_carried_sumsets``).  Only the levels still to build count
+        against WORK_CAP, so carried ones cost nothing, and so does the
+        first, the gaps themselves.
         """
         sums = self._sumsets
         if n <= len(sums):
             return sums[n - 1]
-        _check_work((n - max(len(sums), 1)) * self.genus * n * self.frobenius,
-                    "sumset work levels * genus * width")
+        if self._parent is not None and n <= SUMSET_CACHED_LEVELS:
+            return self._carried_sumsets(n)[n - 1]
+        m = self.multiplicity
+        ops = _progressions(_bit_positions(_apery_bits(self, m))[1:], m)
+        _check_sumset_work(len(ops), self.frobenius, n, len(sums))
         levels = list(sums) or [self._gap_bits()]
-        gaps = _bit_positions(levels[0])  # S_1: the gaps, left unread on self
         acc = levels[-1]
         for j in range(len(levels) + 1, n + 1):
             nxt = 0
-            for gap in gaps:
-                nxt |= acc << gap
+            smear = acc
+            for op in ops:
+                if op < m:
+                    nxt |= smear << op
+                else:
+                    smear |= smear << op
             acc = nxt
             if j <= SUMSET_CACHED_LEVELS:
                 levels.append(acc)
         self._sumsets = tuple(levels)
         return acc
+
+    def _carried_sumsets(self, n: int) -> tuple[int, ...]:
+        """A tree child's kept levels, at least n of them, carried down from
+        the nearest ancestor that keeps n or has no parent, which builds
+        them: each node on the way derives its own from its parent's, as
+        ``tree_children`` does, so in a scan only the root builds any."""
+        chain = []
+        node = self
+        while len(node._sumsets) < n and node._parent is not None:
+            chain.append(node)
+            node = node._parent
+        node._sumset(n)
+        for node in reversed(chain):
+            prev, carried = 1, []
+            for s in node._parent._sumsets:
+                prev = s | prev << node.frobenius
+                carried.append(prev)
+            node._sumsets = tuple(carried)
+        return self._sumsets
 
     def _effective_generators(self) -> tuple[int, ...]:
         """The minimal generators above the Frobenius number, ascending:
@@ -233,6 +270,31 @@ def _check_work(work: int, what: str) -> None:
     shifted, is past WORK_CAP; ``what`` names the estimate."""
     if work > WORK_CAP:
         raise CapExceeded(f"{what} = {work} exceeds cap {WORK_CAP}")
+
+
+def _progressions(apery: Iterable[int], m: int) -> list[int]:
+    """The shift-ors of one sumset level, from the nonzero Apery elements w
+    modulo the multiplicity m, ascending.  One smear of the last level
+    serves every class: a multiple of m widens it by doubling until it
+    spans the w // m terms of the next class, and a residue r = w % m < m
+    ORs it, shifted by r, into the new level."""
+    ops = []
+    cover = 1  # the terms the smear spans
+    for e, r in map(divmod, apery, repeat(m)):
+        while cover < e:
+            step = min(cover, e - cover)
+            ops.append(step * m)
+            cover += step
+        ops.append(r)
+    return ops
+
+
+def _check_sumset_work(shift_ors: int, frobenius: int, n: int, built: int) -> None:
+    """Raise CapExceeded before the n-fold gap sumset is built from the
+    ``built`` levels kept (the gaps, when none): the levels still to build
+    times ``shift_ors`` per level times the width n * frobenius."""
+    _check_work((n - max(built, 1)) * shift_ors * n * frobenius,
+                "sumset work levels * shift-ors * width")
 
 
 def _pair_sums(pos: int, limit: int) -> int:
@@ -335,14 +397,19 @@ def natural_gamma(H: NumericalSemigroup, n: int) -> int:
     return (H._gap_bits() & _multiples(n, H.frobenius // n)).bit_count()
 
 
-def _exceptional_gaps(H: NumericalSemigroup) -> tuple[int, ...]:
-    """The gaps h with F/2 <= h < F whose mirror F - h is a gap too, for F
-    the Frobenius number, descending, read from the membership bitset.
-    When F is even, F/2 is the last of them."""
-    ell = H.frobenius
-    bits = H._member_bits
-    return tuple(h for h in range(ell - 1, (ell - 1) // 2, -1)
-                 if not bits >> h & 1 and not bits >> (ell - h) & 1)
+def _mirror(bits: int, top: int) -> int:
+    """``bits``, none above ``top``, reflected in top / 2: bit k becomes
+    bit top - k, by reversing the binary digits."""
+    return int(bin(bits)[:1:-1], 2) << top + 1 - bits.bit_length()
+
+
+def _exceptional_bits(H: NumericalSemigroup) -> int:
+    """Bitset of the gaps h with F/2 <= h < F whose mirror F - h is a gap
+    too, for F >= 1 the Frobenius number: one AND of the gaps with their
+    mirror, cut below F/2.  When F is even, F/2 is the least of them."""
+    gaps = H._gap_bits()
+    half = H.conductor >> 1  # ceil(F / 2); the AND has no bit F, as 0 is no gap
+    return gaps & _mirror(gaps, H.frobenius) >> half << half
 
 
 @dataclass(frozen=True)
@@ -358,19 +425,22 @@ class AperyProfile:
     e: tuple[int, ...]
 
 
+def _apery_bits(H: NumericalSemigroup, m: int) -> int:
+    """Bitset of the Apery set of H with respect to its element m > 0: bit
+    w set iff w is in H and w - m is not.  All of it lies in [0, F + m]."""
+    full = ((2 << H.frobenius + m) - 1) & ~H._gap_bits()  # the elements up to F + m
+    return full & ~(full << m)
+
+
 def apery_profile(H: NumericalSemigroup, m: int) -> AperyProfile:
-    """Apery data of H relative to the positive element m."""
+    """Apery data of H relative to the positive element m, read from the
+    Apery mask (``_apery_bits``), whose width is checked against WORK_CAP
+    before it is built, and ordered by residue."""
     if m <= 0 or m not in H:
         raise NotAnElement(f"{m} is not a positive element")
-    s = []
-    e = []
-    for i in range(1, m):
-        n = i
-        while n not in H:
-            n += m
-        s.append(n)
-        e.append((n - i) // m)
-    return AperyProfile(m, tuple(s), tuple(e))
+    _check_work(H.frobenius + m + 1, "Apery mask width F + m + 1")
+    s = sorted(_bit_positions(_apery_bits(H, m))[1:], key=m.__rmod__)
+    return AperyProfile(m, tuple(s), tuple(map(m.__rfloordiv__, s)))
 
 
 def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:

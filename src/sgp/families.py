@@ -15,8 +15,8 @@ from typing import Any
 
 from .bounds import coprime_lower_bound, divisor_condition, rho1, rho3
 from .classify import _require_prime, project_by_n, type_verdict
-from .core import (NumericalSemigroup, _check_work, _multiples, format_semigroup,
-                   from_generators, natural_gamma)
+from .core import (NumericalSemigroup, _check_sumset_work, _check_work, _mirror, _multiples,
+                   format_semigroup, from_generators, natural_gamma)
 from .errors import ClaimFailed, ParityViolation, PreconditionViolated, RangeViolation
 from .obstruction import NOT_WEIERSTRASS, gap_sum_profile, pairing_obstruction
 
@@ -75,9 +75,11 @@ def buchweitz_family(g: int, i: int, a: int | None = None) -> FamilyResult:
         raise RangeViolation(f"need g >= {2 * a - 10 + 5 * i}, got {g}")
     h1 = (3 * g + 2 * a + i - 10) // 2
     ell = 2 * g - 2 * i + 1
-    # the pairwise gap sumset below is the costly part: fail before building.
-    # As _sumset counts it: one level to build, g gaps, width 2 * ell
-    _check_work(g * 2 * ell, "sumset work levels * genus * width")
+    # the pairwise gap sumset below is the costly part: fail before building,
+    # by _sumset's estimate.  The multiplicity is m = g - i + 1 and the i
+    # gaps above it lie below 2m, each in its own class: m - 1 classes, one
+    # doubling to reach the classes of two gaps, one level to build
+    _check_sumset_work(g - i + 1, ell, 2, 0)
     H = NumericalSemigroup([*range(1, g - i + 1), *(h1 - a - 2 * k for k in range(i - 2)),
                             h1, ell])
 
@@ -142,8 +144,7 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     # outside it, by reversing that complement's bit string over [0, ell]
     multiples = _multiples(N, 2 * g // N)
     scaled = (multiples | 1) & ~sum(1 << N * k for k in htilde.gaps)
-    outside = ~scaled & ((1 << g) - 1)
-    reflected = int(format(outside, f"0{ell + 1}b")[::-1], 2)
+    reflected = _mirror(~scaled & ((1 << g) - 1), ell)
     # the members of H1 in [0, 2g]: every integer above ell is one
     members = scaled | reflected | ((1 << (2 * g + 1)) - (1 << (ell + 1)))
     gap_bits = ~members & ((1 << (ell + 1)) - 1)

@@ -3,11 +3,15 @@ rule a semigroup out as a Weierstrass semigroup.
 
 The set of sums of n gaps (with repetition) of a Weierstrass semigroup has
 cardinality at most (2n-1)(g-1).  Sumsets are exact int bitsets from
-``NumericalSemigroup._sumset``, which keeps them on the semigroup: a tree
+``NumericalSemigroup._sumset``, which builds a level from the last one by
+progressions: the gaps of each residue class modulo the multiplicity form
+one, ending below its Apery element, so a level costs a few shift-ors per
+class instead of one per gap.  The levels stay on the semigroup: a tree
 child derives its own from its parent's with one shift-or per level, so in
-a scan only the first node checked builds them gap by gap.  The excess of
-the pairwise sumset over its guaranteed baseline drives the pairing
-obstruction.
+a scan only the root of the tree builds them.  The excess of the
+pairwise sumset over its guaranteed baseline drives the pairing
+obstruction, which reads the exceptional gaps off one AND of the gap
+bitset with its mirror (``core._exceptional_bits``).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import NumericalSemigroup, _bit_positions, _exceptional_gaps
+from .core import NumericalSemigroup, _bit_positions, _exceptional_bits
 from .errors import GenusTooSmall, WrongShape
 
 NOT_WEIERSTRASS = "not_weierstrass"
@@ -101,7 +105,9 @@ def _pairing_verdict(H: NumericalSemigroup) -> str | None:
     WrongShape depends only on g and the last gap.  The exceptional gaps are
     read straight from the membership bitset, with no count to check:
     there are always i - 1, as the g - 1 gaps below ell fill the g - i
-    pairs {k, ell - k}, at least one in each.
+    pairs {k, ell - k}, at least one in each.  h_1, h_2 and the least of
+    them are read off their bitset by bit length; the rest are decoded
+    only when the first test passes.
     """
     g = H.genus
     ell = H.frobenius
@@ -110,9 +116,12 @@ def _pairing_verdict(H: NumericalSemigroup) -> str | None:
     i = g - ell // 2  # ell = 2g - 2i + 1
     if i < 4:
         return None
-    hs = _exceptional_gaps(H)
-    if not hs[0] + hs[-1] > 2 * hs[1]:
+    bits = _exceptional_bits(H)
+    h1 = bits.bit_length() - 1
+    h2 = (bits ^ 1 << h1).bit_length() - 1
+    if not h1 + (bits & -bits).bit_length() - 1 > 2 * h2:
         return INCONCLUSIVE
+    hs = _bit_positions(bits)[::-1]
     pairs = [(1, v) for v in range(1, i)]
     for u in range(2, i):
         pairs.append((u, u))

@@ -11,8 +11,8 @@ from sgp.classify import (PRIME_CAP, TypeVerdict, arithmetic_cover_criterion,
                           exclusive_types, is_prime, is_type_by_genus,
                           is_type_by_tail, leading_gcd, project_by_n,
                           symmetry_profile, type_test, type_verdict)
-from sgp.core import (NumericalSemigroup, descendants, from_gaps, from_generators,
-                      natural_gamma)
+from sgp.core import (NumericalSemigroup, _bit_positions, _exceptional_bits, descendants,
+                      from_gaps, from_generators, natural_gamma)
 from sgp.errors import CapExceeded, GenusZero, NotPrime, PreconditionViolated
 
 BUCHWEITZ_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
@@ -153,6 +153,23 @@ def test_is_type_by_tail():
     assert is_type_by_tail(from_generators([1]), 3) is True
 
 
+def is_type_by_tail_by_membership(H, N):
+    """Reference: the tail condition tested integer by integer."""
+    gamma = natural_gamma(H, N)
+    return all(h % N == 0 for h in range(1, 2 * N * gamma + 1) if h in H)
+
+
+def test_is_type_by_tail_matches_membership_reference_exhaustive(by_genus):
+    held = 0
+    for g in range(15):
+        for H in by_genus(g):
+            for N in range(1, 12):
+                want = is_type_by_tail_by_membership(H, N)
+                assert is_type_by_tail(H, N) is want, (H.gaps, N)
+                held += want and N > 1 and natural_gamma(H, N) > 0
+    assert held > 0
+
+
 def test_is_type_by_genus():
     assert is_type_by_genus(from_generators([2, 21]), 2) is True
     assert is_type_by_genus(from_generators([4, 6, 17]), 2) is True
@@ -228,6 +245,22 @@ def test_symmetry_profile_excludes_paired_window_gaps():
     # window gaps {9, 10, 11, 13}: the mirror of 9 is the element 8
     p = symmetry_profile(from_gaps([1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 17]))
     assert p.i == 4 and p.exceptional_gaps == (13, 11, 10)
+
+
+def exceptional_gaps_by_window(H):
+    """Reference: the gaps h with F/2 <= h < F and F - h a gap, descending,
+    tested integer by integer over the window."""
+    ell = H.frobenius
+    return tuple(h for h in range(ell - 1, (ell - 1) // 2, -1)
+                 if h not in H and ell - h not in H)
+
+
+def test_exceptional_bits_match_window_reference_exhaustive():
+    for H in descendants(NumericalSemigroup(), 15):
+        if H.genus:
+            want = exceptional_gaps_by_window(H)
+            assert _bit_positions(_exceptional_bits(H))[::-1] == want, H.gaps
+            assert symmetry_profile(H).exceptional_gaps == want, H.gaps
 
 
 def test_symmetry_kinds_exhaustive(by_genus):

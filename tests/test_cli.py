@@ -500,14 +500,22 @@ def test_obstruct_counts_sums_without_decoding(capsys, monkeypatch):
 
 
 def test_obstruct_sumset_cap(capsys):
-    # wide sumsets (n * frobenius 5 * 10^7 and 1,199,940) and a narrow one
-    # all stop at the one work cap
-    for spec, n in (("gens:3,4", "10000000"), ("gens:2,20001", "60"),
-                    ("gens:3,4", "40000")):
+    # <2, 20001> has one class of 10,000 gaps and frobenius 19,999: a level
+    # takes one shift-or and 14 doublings, so n = 183 is the largest n the
+    # cap admits (182 * 15 * 183 * 19,999 = 9,991,300,410); n = 184 and 600
+    # are refused, as are wide (n * frobenius 5 * 10^7) and narrow sumsets
+    # of <3, 4>
+    code, out, _ = invoke(capsys, "obstruct", "gens:2,20001", "--n", "183")
+    assert code == 0 and json.loads(out)["cardinality"] == 183 * 9999 + 1
+    for spec, n, work in (("gens:3,4", "10000000", None),
+                          ("gens:2,20001", "184", 10_101_094_920),
+                          ("gens:2,20001", "600", 107_814_609_000),
+                          ("gens:3,4", "40000", 39_999 * 3 * 40_000 * 5)):
         code, out, err = invoke(capsys, "obstruct", spec, "--n", n)
         assert code == 2 and err == ""
         error = json.loads(out)["error"]
         assert error["name"] == "CapExceeded" and "sumset work" in error["message"]
+        assert work is None or error["message"].endswith(f"= {work} exceeds cap {10**10}")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgp.core
-from sgp.core import (NumericalSemigroup, _bit_positions, apery_profile,
+from sgp.core import (NumericalSemigroup, _bit_positions, _mirror, apery_profile,
                       descendants, enumerate_genus_range, format_semigroup,
                       from_gaps, from_generators, natural_gamma,
                       parse_semigroup, tree_children)
@@ -353,6 +353,56 @@ def test_apery_invariants_exhaustive(by_genus):
             for m in range(1, H.conductor + 2):
                 if m > 0 and m in H:
                     _check_apery_invariants(H, m)
+
+
+def apery_by_search(H, m):
+    """Reference: for each residue i of 1 .. m - 1, the least element
+    congruent to i, found by stepping i, i + m, ... until one is in H."""
+    s = []
+    for i in range(1, m):
+        n = i
+        while n not in H:
+            n += m
+        s.append(n)
+    return tuple(s), tuple((n - i) // m for i, n in enumerate(s, 1))
+
+
+def test_apery_profile_matches_search_exhaustive(by_genus):
+    # every element m <= F + 1 of every semigroup to genus 13
+    for g in range(14):
+        for H in by_genus(g):
+            for m in range(1, H.frobenius + 2):
+                if m in H:
+                    p = apery_profile(H, m)
+                    assert (p.s, p.e) == apery_by_search(H, m), (H.gaps, m)
+
+
+def test_apery_mask_width_checked_before_it_is_built(monkeypatch):
+    # the mask spans [0, F + m]: its width is refused before it is built
+    H = from_generators([2, 3])
+
+    def never(*args):
+        raise AssertionError("built the Apery mask past the work cap")
+
+    monkeypatch.setattr(sgp.core, "_apery_bits", never)
+    with pytest.raises(CapExceeded) as err:
+        apery_profile(H, 10**11)
+    assert str(err.value) == ("Apery mask width F + m + 1 = 100000000002"
+                              " exceeds cap 10000000000")
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 11)
+    with pytest.raises(CapExceeded, match=" = 12 exceeds cap 11"):
+        apery_profile(H, 10)
+    monkeypatch.undo()
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 12)
+    assert apery_profile(H, 10).s == (11, 2, 3, 4, 5, 6, 7, 8, 9)
+
+
+@given(st.integers(0, 2**70), st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_mirror_matches_padded_reversal(bits, pad):
+    # _mirror against the zero-padded digit reversal cover_family used
+    top = max(bits.bit_length() - 1, 0) + pad
+    assert _mirror(bits, top) == int(format(bits, f"0{top + 1}b")[::-1], 2)
 
 
 def test_enumeration_small_cases():

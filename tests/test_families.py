@@ -357,7 +357,8 @@ def test_genus_cap(monkeypatch):
 
 def test_buchweitz_sumset_caps_checked_before_building(monkeypatch):
     # the check, not the blow-up: the pairwise gap sumset of (16, 4) has
-    # genus 16 and frobenius 25, so work 16 * 2 * 25
+    # multiplicity 13, so 12 classes and one doubling a level, and
+    # frobenius 25: work 13 * 2 * 25
     import sgp.core
     import sgp.families
 
@@ -366,15 +367,40 @@ def test_buchweitz_sumset_caps_checked_before_building(monkeypatch):
 
     assert buchweitz_family(16, 4).semigroup.gaps == BUCHWEITZ_GAPS
     monkeypatch.setattr(sgp.families, "NumericalSemigroup", never_built)
-    # the first genus the real cap refuses at i = 4: 50,002 * 2 * 99,997
-    with pytest.raises(CapExceeded, match="work .* = 10000099988 exceeds cap"):
-        buchweitz_family(50_002, 4)
-    monkeypatch.setattr(sgp.core, "WORK_CAP", 799)
-    with pytest.raises(CapExceeded, match="work .* = 800 exceeds cap 799"):
+    # the first genus the real cap refuses at i = 4: 50,001 * 2 * 100,001
+    with pytest.raises(CapExceeded, match="work .* = 10000300002 exceeds cap"):
+        buchweitz_family(50_004, 4)
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 649)
+    with pytest.raises(CapExceeded, match="work .* = 650 exceeds cap 649"):
         buchweitz_family(16, 4)
     monkeypatch.undo()
-    monkeypatch.setattr(sgp.core, "WORK_CAP", 800)
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 650)
     assert buchweitz_family(16, 4).semigroup.gaps == BUCHWEITZ_GAPS
+
+
+def test_buchweitz_precheck_is_the_sumset_estimate(monkeypatch):
+    # the family's pre-check and _sumset estimate the same work for the
+    # pairwise sumset of the semigroup the family builds
+    import sgp.core
+    checked = 0
+    for i in range(4, 8):
+        for a in range(2 * i - 5, 2 * i):
+            for g in range(2 * a - 10 + 5 * i, 2 * a + 5 * i + 4):
+                if (3 * g + 2 * a + i - 10) % 2:
+                    continue
+                h1 = (3 * g + 2 * a + i - 10) // 2
+                H = NumericalSemigroup([*range(1, g - i + 1),
+                                        *(h1 - a - 2 * k for k in range(i - 2)),
+                                        h1, 2 * g - 2 * i + 1])
+                monkeypatch.setattr(sgp.core, "WORK_CAP", 0)
+                with pytest.raises(CapExceeded) as family:
+                    buchweitz_family(g, i, a)
+                with pytest.raises(CapExceeded) as sumset:
+                    H._sumset(2)
+                assert str(family.value) == str(sumset.value), (g, i, a)
+                monkeypatch.undo()
+                checked += 1
+    assert checked == 140
 
 
 def test_genus_cap_exits_at_once():

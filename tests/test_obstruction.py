@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgp.core import (SUMSET_CACHED_LEVELS, WORK_CAP, NumericalSemigroup, descendants,
-                      from_gaps, from_generators, tree_children)
+from sgp.core import (SUMSET_CACHED_LEVELS, WORK_CAP, NumericalSemigroup, _multiples,
+                      descendants, from_gaps, from_generators, tree_children)
 from sgp.errors import CapExceeded, GenusTooSmall, WrongShape
 from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, bc_test,
                              gap_sum_profile, pair_sum_extras,
@@ -66,41 +66,76 @@ def test_sumset_width_cap():
     assert bc_test(3)(H) is False
 
 
-def sumset_shell(genus, frobenius, built):
-    """A semigroup with only the fields _sumset's work check reads, and
-    ``built`` kept levels (one at least) that are empty bitsets: past the
-    check, its levels build from no gaps, so nothing wide is allocated."""
+def sumset_shell(m, frobenius, built):
+    """The semigroup of the multiples of m and every integer above
+    ``frobenius``, as a shell with only the fields _sumset's work check
+    reads, and ``built`` kept levels (one at least) that are empty bitsets:
+    past the check, its levels build from nothing, so nothing wide is
+    allocated.  Its elements up to F/2 are the multiples of m alone, the
+    fewest a multiplicity m allows, so the constructor's closure estimate
+    admits the largest F there is for m."""
     H = object.__new__(NumericalSemigroup)
-    H.genus, H.frobenius, H._sumsets = genus, frobenius, (0,) * max(built, 1)
+    H.frobenius, H.conductor = frobenius, frobenius + 1
+    H._member_bits = _multiples(m, frobenius // m) | 1 | 2 << frobenius
+    H._sumsets, H._parent = (0,) * max(built, 1), None
     return H
+
+
+def _closure_estimate(H):
+    """The constructor's closure sieve estimate for H's gaps."""
+    half = H.frobenius // 2
+    return (half - (H._gap_bits() & ((2 << half) - 1)).bit_count()) * H.conductor
+
+
+# the widest level the work cap admits, from the two estimates: a level
+# costs s >= (m - 1) + bitlen(F // m) shift-ors (a class holding F has more
+# than F // m gaps), and the closure estimate (F // 2 // m) * (F + 1) <= cap
+# bounds F for each m; over all m, n and kept levels the widest n * F is
+# 25,041,726 bits, at m = 387, F = 2,782,414, n = 9 from 8 kept levels
+WIDEST_SUMSET_LEVEL = 25_041_726
 
 
 @given(st.integers(2, 10**6), st.data())
 @settings(max_examples=300, deadline=None)
 def test_work_cap_bounds_sumset_width(n, data):
-    # a Frobenius number F needs genus at least (F + 1) / 2, so whatever the
-    # work cap admits is narrower than sqrt(2 * (L + 1) * cap) bits
+    # whatever the work cap admits, on a semigroup the constructor admits,
+    # is at most WIDEST_SUMSET_LEVEL bits wide
     built = data.draw(st.integers(0, min(n - 1, SUMSET_CACHED_LEVELS)))
-    frobenius = data.draw(st.integers(1, 10**6 // n + 1) | st.integers(1, 10**6))
+    m = data.draw(st.integers(2, 40) | st.integers(300, 500) | st.integers(2, 5000))
+    frobenius = data.draw(st.integers(m + 1, 10**6 // n + m + 1)
+                          | st.integers(m + 1, 3 * 10**6))
+    frobenius += frobenius % m == 0
+    H = sumset_shell(m, frobenius, built)
+    if _closure_estimate(H) > WORK_CAP:
+        return
     try:
-        sumset_shell((frobenius + 2) // 2, frobenius, built)._sumset(n)
+        H._sumset(n)
     except CapExceeded:
         return
-    width = n * frobenius
-    assert width**2 < 2 * (SUMSET_CACHED_LEVELS + 1) * WORK_CAP < 10**12
+    assert n * frobenius <= WIDEST_SUMSET_LEVEL
 
 
 def test_work_cap_width_boundary():
-    # the widest level the work cap admits: n = 9 from 8 kept levels at the
-    # least genus 23,570 of frobenius 47,139, width 424,251 bits
-    sumset_shell(23_570, 47_139, 8)._sumset(9)
-    with pytest.raises(CapExceeded, match="= 10000232460 exceeds cap"):
-        sumset_shell(23_571, 47_140, 8)._sumset(9)
+    # the widest level the work cap admits on a semigroup: n = 9 from 8
+    # kept levels, m = 386 and F = 2,778,548, whose closure estimate is
+    # 3,599 * 2,778,549 = 9,999,997,851.  A level takes 399 shift-ors, 385
+    # classes and 14 doublings: work 9,977,765,868, width 25,006,932 bits
+    H = sumset_shell(386, 2_778_548, 8)
+    assert _closure_estimate(H) == 9_999_997_851
+    H._sumset(9)
+    assert 9 * H.frobenius == 25_006_932 > 0.998 * WIDEST_SUMSET_LEVEL
+    # one step past: the next F is refused by the constructor, and n = 10
+    # (two levels to build) by the sumset estimate
+    assert _closure_estimate(sumset_shell(386, 2_778_549, 8)) > WORK_CAP
+    with pytest.raises(CapExceeded, match="= 22172813040 exceeds cap"):
+        sumset_shell(386, 2_778_548, 8)._sumset(10)
 
 
 def test_sumset_work_cap(monkeypatch):
-    # the check, not the blow-up: new levels * genus * n * frobenius against
-    # the cap, before a level is built; <3, 4> has genus 3, frobenius 5
+    # the check, not the blow-up: new levels * shift-ors * n * frobenius
+    # against the cap, before a level is built.  <3, 4> has frobenius 5
+    # and Apery set {0, 4, 8}: classes of one and two gaps, so a level
+    # takes 3 shift-ors, two classes and one doubling
     import sgp.core
     monkeypatch.setattr(sgp.core, "WORK_CAP", 180)
     H = from_generators([3, 4])
@@ -111,9 +146,18 @@ def test_sumset_work_cap(monkeypatch):
             check(NumericalSemigroup(H.gaps), 5)  # 4 * 3 * 25
     # H keeps levels 1..4, so n = 5 builds one level: 1 * 3 * 25
     assert gap_sum_profile(H, 5).cardinality == len(brute_sums(H.gaps, 5))
+    # <2, 11> has five gaps in one class: one shift-or and three doublings
+    # a level, where the per-gap build took five; levels 2..3: 2 * 4 * 27
+    H = from_generators([2, 11])
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 215)
+    with pytest.raises(CapExceeded, match="= 216 exceeds cap 215"):
+        gap_sum_profile(H, 3)
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 216)
+    assert gap_sum_profile(H, 3).sums == tuple(brute_sums(H.gaps, 3))
     # a tree child carries the levels its parent kept, so it pays nothing
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 180)
     root = from_generators([3, 4, 5])
-    gap_sum_profile(root, 5)  # 4 * 2 * 10
+    gap_sum_profile(root, 5)  # 4 * 2 * 10: two classes of one gap
     monkeypatch.setattr(sgp.core, "WORK_CAP", 0)
     children = tree_children(root)
     assert len(children) == 3
@@ -121,6 +165,51 @@ def test_sumset_work_cap(monkeypatch):
         assert gap_sum_profile(child, 5).sums == tuple(brute_sums(child.gaps, 5))
         with pytest.raises(CapExceeded, match="sumset work"):
             gap_sum_profile(NumericalSemigroup(child.gaps), 5)
+
+
+def sumsets_by_gaps(H, n):
+    """Reference: the levels S_1 .. S_n, each built from the last by one
+    shift-or per gap."""
+    levels = [H._gap_bits()]
+    for _ in range(n - 1):
+        nxt = 0
+        for gap in H.gaps:
+            nxt |= levels[-1] << gap
+        levels.append(nxt)
+    return levels
+
+
+def test_sumsets_match_per_gap_reference_exhaustive():
+    # every semigroup to genus 14, n = 2..5: the levels a fresh semigroup
+    # builds by progressions, and those a tree child carries, since each
+    # node fills its levels before its children are built
+    for H in descendants(NumericalSemigroup(), 14):
+        ref = sumsets_by_gaps(H, 5)
+        fresh = NumericalSemigroup(H._gap_bits())
+        for n in range(2, 6):
+            assert fresh._sumset(n) == ref[n - 1] == H._sumset(n), (H.gaps, n)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_sumsets_carried_down_a_chain_match_reference(n):
+    # a walk that reads no sumsets until genus 11..13, deepest first: each
+    # node carries its levels down the chain of its unread ancestors
+    nodes = [H for H in descendants(NumericalSemigroup(), 13) if H.genus >= 11]
+    for H in sorted(nodes, key=lambda H: -H.genus):
+        assert H._sumset(n) == sumsets_by_gaps(H, n)[-1], (H.gaps, n)
+        assert H._parent._sumsets, H.gaps
+
+
+@given(st.lists(st.integers(2, 60), min_size=1, max_size=4), st.integers(2, 5))
+@settings(max_examples=150, deadline=None)
+def test_sumsets_match_per_gap_reference_generated(gens, n):
+    if math.gcd(*gens) != 1:
+        gens.append(gens[0] + 1)
+    H = from_generators(gens)
+    early = tree_children(H)  # built before H has levels: they carry later
+    assert H._sumset(n) == sumsets_by_gaps(H, n)[-1], (gens, n)
+    for kid in early + tree_children(H):
+        assert kid._sumset(n) == sumsets_by_gaps(kid, n)[-1], (gens, n, kid.frobenius)
 
 
 def _assert_carried_sumsets_match_fresh(root, max_genus, order):
