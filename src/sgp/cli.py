@@ -24,7 +24,7 @@ from . import families as families_mod
 from .classify import project_by_n, type_test, type_verdict
 from .core import (DEFAULT_GENUS_CAP, NumericalSemigroup, descendants,
                    format_semigroup, natural_gamma, parse_semigroup)
-from .errors import CapExceeded, SemigroupError, UnknownPredicate, WorkerFailed
+from .errors import SemigroupError, UnknownPredicate, WorkerFailed
 from .obstruction import (bc_test, gap_sum_profile, pair_sum_extras,
                           pairing_rules_out)
 
@@ -402,28 +402,10 @@ def _cmd_scan(args) -> list[dict[str, Any]]:
         cap = _ascii_int(raw)
     except ValueError:
         raise _UsageError(f"SGP_GENUS_CAP must be an integer, got {raw!r}")
-    if hi > cap:
-        raise CapExceeded(f"genus {hi} exceeds cap {cap} (set SGP_GENUS_CAP to raise)")
+    shards = core_mod._genus_shards(lo, hi, cap)
     if args.parallelism < 1:
         raise _UsageError(f"--parallelism must be at least 1, got {args.parallelism}")
     predicate = _predicate_fn(args.predicate, args.n)  # fails fast on bad parameters
-    # nearly all of the tree hangs below the ordinary semigroups, so the
-    # shards follow their chain (an ordinary semigroup's first child is the
-    # next one): a chain node of genus >= lo is a one-node shard, each of
-    # its other children carries its subtree, and the chain stops at genus
-    # max(lo, hi - 5), whose node carries its subtree.  A deeper chain adds
-    # shards faster than it evens them out.  The list runs backwards, so
-    # the biggest shards go out first.
-    shards = []
-    H = NumericalSemigroup()
-    while H.genus < max(lo, hi - 5):
-        if H.genus >= lo:
-            shards.append((H, H.genus))
-        # looked up on the module, where the tests count expansions
-        H, *siblings = core_mod.tree_children(H)
-        shards.extend((K, hi) for K in siblings)
-    shards.append((H, hi))
-    shards.reverse()
     workers = min(args.parallelism, os.cpu_count() or 1, len(shards))
     if workers > 1 and hasattr(os, "fork"):
         parts = _fork_shards(shards, lo, predicate, workers)

@@ -50,8 +50,8 @@ class NumericalSemigroup:
     a constructor builds: the gap tuple, the elements below the conductor,
     the effective and the minimal generators and the n-fold gap sumsets
     are derived on first use and cached, so a semigroup pays only for what
-    is read of it; tree children derive their generators and carry their
-    sumsets from the parent's.
+    is read of it; tree children derive their effective generators and
+    carry their sumsets from the parent's.
     """
 
     __slots__ = ("_gaps", "genus", "frobenius", "conductor", "_member_bits",
@@ -138,8 +138,7 @@ class NumericalSemigroup:
     @property
     def min_generators(self) -> tuple[int, ...]:
         if self._min_gens is None:
-            self._min_gens = (self._compute_min_generators() if self._parent is None
-                              else self._derive_min_generators())
+            self._min_gens = self._compute_min_generators()
         return self._min_gens
 
     def _compute_min_generators(self) -> tuple[int, ...]:
@@ -245,24 +244,6 @@ class NumericalSemigroup:
                 eff += (t,)
         self._eff = eff
         return eff
-
-    def _derive_min_generators(self) -> tuple[int, ...]:
-        """A tree child's minimal generators: its parent's below its
-        Frobenius number x, then its effective generators.  The parent's
-        come the same way, from the nearest ancestor that has them.  Each
-        node on the way then lets go of its parent, which nothing reads
-        once its generators are known."""
-        chain = []
-        node = self
-        while node._min_gens is None and node._parent is not None:
-            chain.append(node)
-            node = node._parent
-        gens = node.min_generators
-        for node in reversed(chain):
-            gens = gens[:gens.index(node.frobenius)] + node._effective_generators()
-            node._min_gens = gens
-            node._parent = None
-        return gens
 
 
 def _check_work(work: int, what: str) -> None:
@@ -434,11 +415,13 @@ def _apery_bits(H: NumericalSemigroup, m: int) -> int:
 
 def apery_profile(H: NumericalSemigroup, m: int) -> AperyProfile:
     """Apery data of H relative to the positive element m, read from the
-    Apery mask (``_apery_bits``), whose width is checked against WORK_CAP
-    before it is built, and ordered by residue."""
+    Apery mask (``_apery_bits``) and ordered by residue; the mask's width
+    and the bits of its m - 1 elements are checked against WORK_CAP first."""
     if m <= 0 or m not in H:
         raise NotAnElement(f"{m} is not a positive element")
-    _check_work(H.frobenius + m + 1, "Apery mask width F + m + 1")
+    top = H.frobenius + m
+    _check_work(top + 1 + (m - 1) * top.bit_length(),
+                "Apery mask and output bits F + m + 1 + (m - 1) * bitlen(F + m)")
     s = sorted(_bit_positions(_apery_bits(H, m))[1:], key=m.__rmod__)
     return AperyProfile(m, tuple(s), tuple(map(m.__rfloordiv__, s)))
 
@@ -452,12 +435,10 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
     constructor's sieve.  H's effective generators, bits and sumsets are
     read once for all the children; a child's membership bitset is H's,
     filled with elements up to x + 1 but for x, and its gap tuple is
-    decoded from it only when read.  A child keeps a reference to H,
+    decoded from it only when read.  A child keeps a reference to H and
     derives its own effective generators from H's when it is expanded in
-    turn, and its minimal generators only when they are read
-    (``_effective_generators``, ``_derive_min_generators``).
-    Cached gap sumsets S_1 .. S_k carry over as S_j' = S_j | (S_{j-1}' << x),
-    with S_0' = {0}.
+    turn (``_effective_generators``).  Cached gap sumsets S_1 .. S_k carry
+    over as S_j' = S_j | (S_{j-1}' << x), with S_0' = {0}.
     """
     eff = H._effective_generators()
     genus = H.genus + 1
@@ -508,19 +489,39 @@ def descendants(H: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemi
             stack += kids
 
 
-def enumerate_genus_range(lo: int, hi: int,
-                          cap: int = DEFAULT_GENUS_CAP) -> Iterator[NumericalSemigroup]:
-    """Every semigroup with lo <= genus <= hi, in tree order.
-
-    A yielded node refers to its tree parent until its minimal generators
-    are read, so a caller that keeps nodes without reading them also keeps
-    their ancestors alive.
+def _genus_shards(lo: int, hi: int, cap: int) -> list[tuple[NumericalSemigroup, int]]:
+    """The genus tree to genus hi as shards, each a root and the genus its
+    subtree stops at, whose nodes of genus >= lo are each semigroup of genus
+    lo..hi once.  Nearly all of the tree hangs below the ordinary semigroups,
+    so the shards follow their chain (each one's first child is the next):
+    a chain node of genus >= lo is a one-node shard, each of its other
+    children carries its subtree, and the chain stops at genus max(lo,
+    hi - 5), whose node carries its subtree; a deeper chain adds shards
+    faster than it evens them out.  The biggest shards come first.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
     if hi > cap:
         raise CapExceeded(f"genus {hi} exceeds cap {cap}")
-    return (H for H in descendants(NumericalSemigroup(), hi) if H.genus >= lo)
+    shards = []
+    H = NumericalSemigroup()
+    while H.genus < max(lo, hi - 5):
+        if H.genus >= lo:
+            shards.append((H, H.genus))
+        H, *siblings = tree_children(H)
+        shards.extend((K, hi) for K in siblings)
+    shards.append((H, hi))
+    shards.reverse()
+    return shards
+
+
+def enumerate_genus_range(lo: int, hi: int,
+                          cap: int = DEFAULT_GENUS_CAP) -> Iterator[NumericalSemigroup]:
+    """Every semigroup with lo <= genus <= hi, shard by shard, each in tree
+    order.  A yielded node refers to its tree parent, so a caller that keeps
+    nodes also keeps their ancestors alive."""
+    return (H for root, top in _genus_shards(lo, hi, cap)
+            for H in descendants(root, top) if H.genus >= lo)
 
 
 def parse_semigroup(text: str) -> NumericalSemigroup:

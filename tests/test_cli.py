@@ -185,14 +185,19 @@ def test_scan_type_predicate(capsys):
 
 
 def test_scan_rows_carry_min_generators(capsys):
-    # rows print the generators the walk derived; the constructor agrees
+    # rows print the generators each node sieves when read; the constructor agrees
     from sgp.core import from_gaps
-    for predicate in ("symmetric", "type:2,1"):
-        code, out, _ = invoke(capsys, "scan", "--genus", "0..9",
-                              "--predicate", predicate)
+    # bc_fail --n 2 first matches at genus 16
+    for genus, predicate, matched in (
+            ("0..9", ["symmetric"], 46), ("0..9", ["type:2,1"], 13),
+            ("0..12", ["quasi_symmetric"], 61), ("0..12", ["obstruction"], 1),
+            ("0..12", ["bc_fail", "--n", "2"], 0), ("16", ["bc_fail", "--n", "2"], 2),
+            ("0..12", ["type:3,1"], 68)):
+        code, out, _ = invoke(capsys, "scan", "--genus", genus,
+                              "--predicate", *predicate)
         assert code == 0
-        rows = [json.loads(line) for line in out.splitlines()[:-1]]
-        assert rows
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows.pop()["matched"] == len(rows) == matched, predicate
         for row in rows:
             assert row["min_gens"] == list(from_gaps(row["gaps"]).min_generators)
 
@@ -542,11 +547,20 @@ def test_scan_obstruction_predicate(capsys):
 
 
 def test_scan_cap(capsys, monkeypatch):
-    code, _, _ = invoke(capsys, "scan", "--genus", "26", "--predicate", "symmetric")
-    assert code == 2
-    monkeypatch.setenv("SGP_GENUS_CAP", "5")
-    code, _, _ = invoke(capsys, "scan", "--genus", "6", "--predicate", "symmetric")
-    assert code == 2
+    # one cap check: the scan refuses with the library's message
+    from sgp.core import enumerate_genus_range
+    from sgp.errors import CapExceeded
+    for genus, hi, cap in (("26", 26, None), ("0..100000000000", 10**11, None),
+                           ("6", 6, "5")):
+        if cap is not None:
+            monkeypatch.setenv("SGP_GENUS_CAP", cap)
+        code, out, err = invoke(capsys, "scan", "--genus", genus, "--predicate", "symmetric")
+        with pytest.raises(CapExceeded) as library:
+            enumerate_genus_range(0, hi, *([int(cap)] if cap else []))
+        assert str(library.value) == f"genus {hi} exceeds cap {cap or 25}"
+        assert code == 2 and err == ""
+        assert json.loads(out)["error"] == {"name": "CapExceeded",
+                                            "message": str(library.value)}
     monkeypatch.setenv("SGP_GENUS_CAP", "8")
     code, _, _ = invoke(capsys, "scan", "--genus", "6", "--predicate", "symmetric")
     assert code == 0

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgp.core
-from sgp.core import (NumericalSemigroup, _bit_positions, _mirror, apery_profile,
-                      descendants, enumerate_genus_range, format_semigroup,
+from sgp.core import (NumericalSemigroup, _bit_positions, _genus_shards, _mirror,
+                      apery_profile, descendants, enumerate_genus_range, format_semigroup,
                       from_gaps, from_generators, natural_gamma,
                       parse_semigroup, tree_children)
 from sgp.errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
@@ -378,7 +378,8 @@ def test_apery_profile_matches_search_exhaustive(by_genus):
 
 
 def test_apery_mask_width_checked_before_it_is_built(monkeypatch):
-    # the mask spans [0, F + m]: its width is refused before it is built
+    # the mask spans [0, F + m] and m - 1 elements are read from it: its
+    # width and their bits are refused before it is built
     H = from_generators([2, 3])
 
     def never(*args):
@@ -387,14 +388,35 @@ def test_apery_mask_width_checked_before_it_is_built(monkeypatch):
     monkeypatch.setattr(sgp.core, "_apery_bits", never)
     with pytest.raises(CapExceeded) as err:
         apery_profile(H, 10**11)
-    assert str(err.value) == ("Apery mask width F + m + 1 = 100000000002"
-                              " exceeds cap 10000000000")
-    monkeypatch.setattr(sgp.core, "WORK_CAP", 11)
-    with pytest.raises(CapExceeded, match=" = 12 exceeds cap 11"):
+    assert str(err.value) == ("Apery mask and output bits F + m + 1 + (m - 1) * bitlen(F + m)"
+                              f" = {10**11 + 2 + (10**11 - 1) * 37} exceeds cap 10000000000")
+    # <2, 3>, m = 10: a mask of 12 bits and 9 elements of bitlen(11) = 4 bits
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 47)
+    with pytest.raises(CapExceeded, match=" = 48 exceeds cap 47"):
         apery_profile(H, 10)
     monkeypatch.undo()
-    monkeypatch.setattr(sgp.core, "WORK_CAP", 12)
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 48)
     assert apery_profile(H, 10).s == (11, 2, 3, 4, 5, 6, 7, 8, 9)
+
+
+def test_apery_output_counted_before_it_is_decoded(monkeypatch):
+    # a mask of 10^9 + 2 bits passes the cap alone, but its 10^9 - 1
+    # elements of 30 bits do not: refused before anything is decoded
+    H = from_generators([2, 3])
+    original = sgp.core._bit_positions
+    decoded = []
+
+    def counting(*args):
+        decoded.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sgp.core, "_bit_positions", counting)
+    with pytest.raises(CapExceeded, match=f" = {10**9 + 2 + (10**9 - 1) * 30} exceeds cap"):
+        apery_profile(H, 10**9)
+    assert decoded == []
+    profile = apery_profile(H, 10**6)  # 10^6 + 2 + (10^6 - 1) * 20 bits
+    assert len(decoded) == 1 and len(profile.s) == 10**6 - 1
+    assert profile.s[:3] == (10**6 + 1, 2, 3) and profile.e[:3] == (1, 0, 0)
 
 
 @given(st.integers(0, 2**70), st.integers(0, 40))
@@ -446,8 +468,9 @@ def test_enumerate_genus_range():
     assert [H.genus for H in enumerate_genus_range(4, 4)] == [4] * 7
     with pytest.raises(CapExceeded):
         list(enumerate_genus_range(0, 30))
-    with pytest.raises(ValueError, match="need 0 <= lo <= hi"):
-        enumerate_genus_range(3, 2)
+    for lo, hi in ((3, 2), (-1, 3)):
+        with pytest.raises(ValueError, match="need 0 <= lo <= hi"):
+            enumerate_genus_range(lo, hi)
 
 
 def test_enumeration_classical_counts():
@@ -468,6 +491,23 @@ def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_genus_range(4, 4, cap=3))
     assert sum(1 for _ in enumerate_genus_range(4, 4, cap=4)) == 7
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 9), (3, 3), (5, 12), (12, 17)])
+def test_genus_shards_hold_each_semigroup_once(lo, hi):
+    # the shards' nodes of genus >= lo are the tree's, each once, counted
+    # by genus as A007323; enumerate_genus_range yields the same set
+    a007323 = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001,
+               1693, 2857, 4806, 8045]
+    nodes = [H for root, top in _genus_shards(lo, hi, hi)
+             for H in descendants(root, top) if H.genus >= lo]
+    bits = [H._member_bits for H in nodes]
+    assert len(set(bits)) == len(bits)
+    counts = [0] * (hi + 1)
+    for H in nodes:
+        counts[H.genus] += 1
+    assert counts[lo:] == a007323[lo:hi + 1]
+    assert {H._member_bits for H in enumerate_genus_range(lo, hi)} == set(bits)
 
 
 def test_tree_children_order():
@@ -551,7 +591,7 @@ def test_children_builder_matches_child_exhaustive():
 def test_walk_derives_generators_only_where_read(monkeypatch):
     # a walk to genus 12 expands the nodes of genus < 12 and reads nothing
     # else: effective generators are derived for exactly those, no node
-    # builds its full generator tuple, and no node, the root included,
+    # sieves its minimal generators, and no node, the root included,
     # decodes its small elements or its gap tuple
     derived = []
     built = []
@@ -569,9 +609,8 @@ def test_walk_derives_generators_only_where_read(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(NumericalSemigroup, "_effective_generators", counting)
-    for name in ("_compute_min_generators", "_derive_min_generators"):
-        monkeypatch.setattr(NumericalSemigroup, name,
-                            building(getattr(NumericalSemigroup, name)))
+    monkeypatch.setattr(NumericalSemigroup, "_compute_min_generators",
+                        building(NumericalSemigroup._compute_min_generators))
     nodes = list(descendants(NumericalSemigroup(), 12))
     expanded = [H for H in nodes if H.genus < 12]
     assert len(nodes) == sum((1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592))
@@ -582,14 +621,16 @@ def test_walk_derives_generators_only_where_read(monkeypatch):
     assert all(H._small is None for H in nodes)
     assert all(H._eff is None for H in nodes if H.genus == 12)
     assert all(H._gaps is None for H in nodes)
-    # an emitted leaf derives its generators when they are read, and then
-    # lets go of its parent
+    # an emitted leaf sieves its generators from its bitset when they are
+    # read, once: it derives no effective generators and keeps its parent
     leaf = next(H for H in nodes if H.genus == 12 and H.frobenius > 12)
+    ref = NumericalSemigroup(leaf.gaps).min_generators
+    built.clear()
+    assert leaf.min_generators == ref
+    assert leaf.min_generators is leaf._min_gens
+    assert built == [leaf]
+    assert len(derived) == len(expanded) and leaf._eff is None
     assert leaf._parent is not None
-    assert leaf.min_generators == NumericalSemigroup(leaf.gaps).min_generators
-    assert leaf._parent is None
-    assert built[0] is leaf
-    assert len(derived) == len(expanded) + 1 and derived[-1] is leaf
     assert sum(H._gaps is not None for H in nodes[1:]) == 1
 
 
