@@ -32,11 +32,10 @@ GAP_LIST_CAP = 512
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
-# a scan shard's index on the task pipe is one 4-byte record; POSIX makes a
-# pipe write of at most PIPE_BUF (>= 512) bytes atomic, so records written
-# 512 bytes at a time never split
+# a scan shard's index on the task pipe is one 4-byte record, written by
+# itself: POSIX makes a pipe write of at most PIPE_BUF (>= 512) bytes atomic,
+# so a worker's 4-byte read never takes part of a record
 _RECORD = 4
-_TASK_CHUNK = 512
 
 
 class _UsageError(Exception):
@@ -322,6 +321,12 @@ def _shard_worker(tasks: int, results: int, shards: list, lo: int, predicate) ->
     return 0
 
 
+def _pipe(ends: contextlib.ExitStack) -> list:
+    """A new pipe's read and write ends as unbuffered files that ``ends`` closes."""
+    return [ends.enter_context(open(fd, mode, buffering=0))
+            for fd, mode in zip(os.pipe(), ("rb", "wb"))]
+
+
 def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
     """Scan ``shards`` on ``workers`` forked processes and return each
     shard's (scanned, rows) in shard order.
@@ -335,64 +340,52 @@ def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
     dies without a result is ``WorkerFailed``.  Every worker is reaped
     before this returns or raises.
     """
-    fds: set[int] = set()
-    pending: dict[int, int] = {}  # pid -> read end of its result pipe
-
-    def pipe() -> tuple[int, int]:
-        ends = os.pipe()
-        fds.update(ends)
-        return ends
-
-    def close(fd: int) -> None:
-        fds.discard(fd)
-        os.close(fd)
-
+    pending: dict[int, Any] = {}  # pid -> the read end of its result pipe
     try:
-        tasks_r, tasks_w = pipe()
-        for _ in range(workers):
-            result_r, result_w = pipe()
-            pid = os.fork()
-            if pid == 0:  # the worker leaves only by os._exit
-                status = 70  # EX_SOFTWARE, if the body itself fails
-                try:
-                    os.close(tasks_w)  # else its own reads would never see the end
-                    status = _shard_worker(tasks_r, result_w, shards, lo, predicate)
-                finally:
-                    os._exit(status)
-            close(result_w)
-            pending[pid] = result_r
-        close(tasks_r)
-        records = b"".join(i.to_bytes(_RECORD, "little") for i in range(len(shards)))
-        # with every worker dead the write fails; their statuses say why
-        with contextlib.suppress(BrokenPipeError):
-            for at in range(0, len(records), _TASK_CHUNK):
-                os.write(tasks_w, records[at:at + _TASK_CHUNK])
-        close(tasks_w)
-        parts: dict[int, Any] = {}
-        failures = []
-        for pid, result_r in list(pending.items()):
-            fds.discard(result_r)
-            with open(result_r, "rb") as result:
-                data = result.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del pending[pid]
-            if not data:
-                raise WorkerFailed(f"scan worker exited with status {status} "
-                                   "before sending its result")
-            done, failure = pickle.loads(data)
-            parts.update(done)
-            if failure is not None:
-                failures.append(failure)
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
-        return [parts[i] for i in range(len(shards))]
+        # each pipe end is an unbuffered file, closed once: early where a
+        # process must not hold it, else when the stack unwinds
+        with contextlib.ExitStack() as ends:
+            tasks_r, tasks_w = _pipe(ends)
+            for _ in range(workers):
+                result_r, result_w = _pipe(ends)
+                pid = os.fork()
+                if pid == 0:  # the worker leaves only by os._exit
+                    status = 70  # EX_SOFTWARE, if the body itself fails
+                    try:
+                        tasks_w.close()  # else its own reads would never see the end
+                        status = _shard_worker(tasks_r.fileno(), result_w.fileno(),
+                                               shards, lo, predicate)
+                    finally:
+                        os._exit(status)
+                result_w.close()
+                pending[pid] = result_r
+            tasks_r.close()
+            # with every worker dead the write fails; their statuses say why
+            with contextlib.suppress(BrokenPipeError):
+                for i in range(len(shards)):
+                    tasks_w.write(i.to_bytes(_RECORD, "little"))
+            tasks_w.close()
+            parts: dict[int, Any] = {}
+            failures = []
+            for pid, result_r in list(pending.items()):
+                data = result_r.read()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del pending[pid]
+                if not data:
+                    raise WorkerFailed(f"scan worker exited with status {status} "
+                                       "before sending its result")
+                done, failure = pickle.loads(data)
+                parts.update(done)
+                if failure is not None:
+                    failures.append(failure)
     finally:
-        for fd in fds:
-            os.close(fd)
         for pid in pending:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [parts[i] for i in range(len(shards))]
 
 
 def _cmd_scan(args) -> list[dict[str, Any]]:

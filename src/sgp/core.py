@@ -416,12 +416,12 @@ def _apery_bits(H: NumericalSemigroup, m: int) -> int:
 def apery_profile(H: NumericalSemigroup, m: int) -> AperyProfile:
     """Apery data of H relative to the positive element m, read from the
     Apery mask (``_apery_bits``) and ordered by residue; the mask's width
-    and the bits of its m - 1 elements are checked against WORK_CAP first."""
+    and the memory of its m - 1 entries are checked against WORK_CAP first."""
     if m <= 0 or m not in H:
         raise NotAnElement(f"{m} is not a positive element")
-    top = H.frobenius + m
-    _check_work(top + 1 + (m - 1) * top.bit_length(),
-                "Apery mask and output bits F + m + 1 + (m - 1) * bitlen(F + m)")
+    # an entry takes about 90 bytes: two ints, their slots, the decode lists
+    _check_work(H.frobenius + m + 1 + (m - 1) * 720,
+                "Apery mask and output bits F + m + 1 + (m - 1) * 720")
     s = sorted(_bit_positions(_apery_bits(H, m))[1:], key=m.__rmod__)
     return AperyProfile(m, tuple(s), tuple(map(m.__rfloordiv__, s)))
 
@@ -475,15 +475,12 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
 
 def descendants(H: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemigroup]:
     """H and all its tree descendants of genus <= max_genus, depth first,
-    children in ascending order of the removed generator; the children of a
-    node of genus max_genus - 1 are yielded as built, never pushed."""
+    children in ascending order of the removed generator."""
     stack = [H] if H.genus <= max_genus else []
     while stack:
         node = stack.pop()
         yield node
-        if node.genus == max_genus - 1:
-            yield from tree_children(node)
-        elif node.genus < max_genus:
+        if node.genus < max_genus:
             kids = tree_children(node)
             kids.reverse()
             stack += kids

@@ -52,9 +52,6 @@ class _Claims:
             raise ClaimFailed(
                 f"{self.family}: {name} expected {expected!r}, got {observed!r}")
 
-    def done(self) -> tuple[Claim, ...]:
-        return tuple(self.claims)
-
 
 def buchweitz_family(g: int, i: int, a: int | None = None) -> FamilyResult:
     """Semigroup with gaps {1..g-i}, an arithmetic block below h1, then h1
@@ -92,7 +89,7 @@ def buchweitz_family(g: int, i: int, a: int | None = None) -> FamilyResult:
     # the excess drops below 2i-2 and the bound is met exactly, so the
     # disagreement is surfaced as a diagnostic rather than resolved
     profile = gap_sum_profile(H, 2)
-    return FamilyResult(H, "buchweitz_gen", {"g": g, "i": i, "a": a}, sheet.done(),
+    return FamilyResult(H, "buchweitz_gen", {"g": g, "i": i, "a": a}, tuple(sheet.claims),
                         {"h1": h1, "excess": profile.excess,
                          "pair_sum_cardinality": profile.cardinality,
                          "pair_sum_bound": profile.bc_bound,
@@ -182,7 +179,7 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     sheet.check("projection_recovers_input", htilde, project_by_n(H, N, gamma))
     params = {"htilde": format_semigroup(htilde), "N": N, "g": g, "f": f}
     return FamilyResult(H, "cover_h2" if h2_branch else "cover_h1",
-                        params, sheet.done(), diagnostics)
+                        params, tuple(sheet.claims), diagnostics)
 
 
 def superelliptic_sharp(N: int, gamma: int, g: int) -> FamilyResult:
@@ -223,7 +220,7 @@ def superelliptic_sharp(N: int, gamma: int, g: int) -> FamilyResult:
         sheet.check("element_A_minus_gamma_capped", True,
                     H.element_at(A - gamma) <= A * N - 1)
     return FamilyResult(H, "superelliptic_sharp",
-                        {"N": N, "gamma": gamma, "g": g}, sheet.done(), diagnostics)
+                        {"N": N, "gamma": gamma, "g": g}, tuple(sheet.claims), diagnostics)
 
 
 def superelliptic_extremal(N: int, gamma: int) -> FamilyResult:
@@ -249,7 +246,7 @@ def superelliptic_extremal(N: int, gamma: int) -> FamilyResult:
     a_range = range(2 * gamma, a_top + 1)
     observed = [A for A in a_range if H.element_at(A - gamma) == A * N]
     return FamilyResult(H, "superelliptic_extremal",
-                        {"N": N, "gamma": gamma}, sheet.done(),
+                        {"N": N, "gamma": gamma}, tuple(sheet.claims),
                         {"i1": i1,
                          "pole_order_match_range": [a_range.start, a_range.stop - 1],
                          "pole_order_match_observed": observed})
@@ -290,4 +287,4 @@ def superelliptic_spurious(N: int, gamma: int, A: int, t: int, g: int) -> Family
     sheet.check("not_type", False, type_verdict(H, N, gamma).is_type)
     return FamilyResult(H, "superelliptic_spurious",
                         {"N": N, "gamma": gamma, "A": A, "t": t, "g": g},
-                        sheet.done(), {"r": r, "rt": rt, "i1": i1})
+                        tuple(sheet.claims), {"r": r, "rt": rt, "i1": i1})

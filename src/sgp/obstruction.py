@@ -17,6 +17,8 @@ bitset with its mirror (``core._exceptional_bits``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 from typing import Callable
 
 from .core import NumericalSemigroup, _bit_positions, _exceptional_bits
@@ -122,13 +124,10 @@ def _pairing_verdict(H: NumericalSemigroup) -> str | None:
     if not h1 + (bits & -bits).bit_length() - 1 > 2 * h2:
         return INCONCLUSIVE
     hs = _bit_positions(bits)[::-1]
-    pairs = [(1, v) for v in range(1, i)]
-    for u in range(2, i):
-        pairs.append((u, u))
-        if u + 1 <= i - 1:
-            pairs.append((u, u + 1))
-    for u, v in pairs:
-        if (2 * ell - hs[u - 1] - hs[v - 1]) in H:
+    rest = hs[1:]
+    # the chain sums h_1 + h_v, then h_u + h_{u+1} and 2 h_u for u >= 2
+    for s in chain(map(h1.__add__, hs), map(add, rest, rest[1:]), map(add, rest, rest)):
+        if 2 * ell - s in H:
             return INCONCLUSIVE
     return NOT_WEIERSTRASS
 

@@ -1,6 +1,7 @@
 """Command-line front end: verbs, exit codes, schema stability, streaming."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -408,17 +409,22 @@ def test_forked_scan_raises_like_serial(capsys, monkeypatch, time_limit):
     assert_no_children()
 
 
-def test_forked_scan_worker_death(capsys, monkeypatch, time_limit):
-    import os
+def kill_worker_on_chain_end(monkeypatch):
+    """Make a forked worker of a 12..14 scan exit with status 3, and no
+    result, when it takes the shard of the chain's last node."""
     import sgp.cli
     original = sgp.cli._scan_worker
 
     def dies_on_one_shard(shard, lo, predicate):
-        if shard[0].gaps == tuple(range(1, 13)):  # the chain's last node
+        if shard[0].gaps == tuple(range(1, 13)):
             os._exit(3)
         return original(shard, lo, predicate)
 
     monkeypatch.setattr(sgp.cli, "_scan_worker", dies_on_one_shard)
+
+
+def test_forked_scan_worker_death(capsys, monkeypatch, time_limit):
+    kill_worker_on_chain_end(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, out, _ = invoke(capsys, "scan", "--genus", "12..14",
                           "--predicate", "symmetric", "--parallelism", "2")
@@ -468,6 +474,24 @@ def test_forked_workers_reaped_when_gathering_fails(monkeypatch, time_limit):
     monkeypatch.setattr(sgp.cli, "pickle", UnreadablePickle)
     with pytest.raises(RuntimeError, match="unreadable result"):
         sgp.cli._fork_shards(list(range(100)), 0, None, 2)
+    assert_no_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_forked_scan_leaves_no_descriptor_open(capsys, monkeypatch, time_limit):
+    # every pipe end is closed on success, on a shard that raises and on a
+    # worker that dies
+    def forked_scan(*argv):
+        before = len(os.listdir("/proc/self/fd"))
+        code, _, _ = invoke(capsys, "scan", *argv, "--parallelism", "2")
+        assert len(os.listdir("/proc/self/fd")) == before, argv
+        return code
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert forked_scan("--genus", "12..14", "--predicate", "symmetric") == 0
+    assert forked_scan("--genus", "16..17", "--predicate", "bc_fail", "--n", "40000") == 2
+    kill_worker_on_chain_end(monkeypatch)
+    assert forked_scan("--genus", "12..14", "--predicate", "symmetric") == 2
     assert_no_children()
 
 

@@ -378,8 +378,8 @@ def test_apery_profile_matches_search_exhaustive(by_genus):
 
 
 def test_apery_mask_width_checked_before_it_is_built(monkeypatch):
-    # the mask spans [0, F + m] and m - 1 elements are read from it: its
-    # width and their bits are refused before it is built
+    # the mask spans [0, F + m] and m - 1 entries are read from it: its
+    # width and their memory are refused before it is built
     H = from_generators([2, 3])
 
     def never(*args):
@@ -388,21 +388,25 @@ def test_apery_mask_width_checked_before_it_is_built(monkeypatch):
     monkeypatch.setattr(sgp.core, "_apery_bits", never)
     with pytest.raises(CapExceeded) as err:
         apery_profile(H, 10**11)
-    assert str(err.value) == ("Apery mask and output bits F + m + 1 + (m - 1) * bitlen(F + m)"
-                              f" = {10**11 + 2 + (10**11 - 1) * 37} exceeds cap 10000000000")
-    # <2, 3>, m = 10: a mask of 12 bits and 9 elements of bitlen(11) = 4 bits
-    monkeypatch.setattr(sgp.core, "WORK_CAP", 47)
-    with pytest.raises(CapExceeded, match=" = 48 exceeds cap 47"):
+    assert str(err.value) == ("Apery mask and output bits F + m + 1 + (m - 1) * 720"
+                              f" = {10**11 + 2 + (10**11 - 1) * 720} exceeds cap 10000000000")
+    # <2, 3>, m = 10: a mask of 12 bits and 9 entries of 720 bits
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 6491)
+    with pytest.raises(CapExceeded, match=" = 6492 exceeds cap 6491"):
         apery_profile(H, 10)
     monkeypatch.undo()
-    monkeypatch.setattr(sgp.core, "WORK_CAP", 48)
+    monkeypatch.setattr(sgp.core, "WORK_CAP", 6492)
     assert apery_profile(H, 10).s == (11, 2, 3, 4, 5, 6, 7, 8, 9)
 
 
 def test_apery_output_counted_before_it_is_decoded(monkeypatch):
-    # a mask of 10^9 + 2 bits passes the cap alone, but its 10^9 - 1
-    # elements of 30 bits do not: refused before anything is decoded
+    # each of the m - 1 entries weighs 720 bits, about the memory it takes,
+    # so on <2, 3> (F = 1) the least m refused is the least with
+    # m + 2 + (m - 1) * 720 past the cap, 13,869,627 (about 1.25 GB of
+    # entries), and it is refused before anything is decoded
     H = from_generators([2, 3])
+    first = 13_869_627
+    assert first + 1 + (first - 2) * 720 <= 10**10 < first + 2 + (first - 1) * 720
     original = sgp.core._bit_positions
     decoded = []
 
@@ -410,11 +414,23 @@ def test_apery_output_counted_before_it_is_decoded(monkeypatch):
         decoded.append(args)
         return original(*args)
 
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
     monkeypatch.setattr(sgp.core, "_bit_positions", counting)
-    with pytest.raises(CapExceeded, match=f" = {10**9 + 2 + (10**9 - 1) * 30} exceeds cap"):
-        apery_profile(H, 10**9)
+    with pytest.raises(CapExceeded, match=f" = {first + 2 + (first - 1) * 720} exceeds cap"):
+        apery_profile(H, first)
     assert decoded == []
-    profile = apery_profile(H, 10**6)  # 10^6 + 2 + (10^6 - 1) * 20 bits
+    # the m below passes the cap: stopped where its mask would be built
+    original_mask = sgp.core._apery_bits
+    monkeypatch.setattr(sgp.core, "_apery_bits", admitted)
+    with pytest.raises(Admitted):
+        apery_profile(H, first - 1)
+    monkeypatch.setattr(sgp.core, "_apery_bits", original_mask)
+    profile = apery_profile(H, 10**6)  # 10^6 + 2 + (10^6 - 1) * 720 bits
     assert len(decoded) == 1 and len(profile.s) == 10**6 - 1
     assert profile.s[:3] == (10**6 + 1, 2, 3) and profile.e[:3] == (1, 0, 0)
 

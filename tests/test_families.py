@@ -195,7 +195,7 @@ def reference_cover_family(htilde, N, g, f):
     sheet.check("projection_recovers_input", htilde, project_by_n(H, N, gamma))
     params = {"htilde": format_semigroup(htilde), "N": N, "g": g, "f": f}
     return FamilyResult(H, "cover_h2" if h2_branch else "cover_h1",
-                        params, sheet.done(), diagnostics)
+                        params, tuple(sheet.claims), diagnostics)
 
 
 def _result_or_error(fn, *args):
