@@ -3,7 +3,8 @@
 Verbs: info, classify, bounds, obstruct, family, scan, project.  Output is
 JSON by default (--output text renders the same fields as key: value
 lines).  Exit codes: 0 success, 2 domain/precondition failures (structured
-error on stdout), 64 usage errors.
+error on stdout), 64 usage errors, 141 when stdout is closed before the
+output is written (as a shell reports a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ GAP_LIST_CAP = 512
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
+EXIT_SIGPIPE = 141  # 128 + SIGPIPE, what a shell reports for a process it killed
 # a scan shard's index on the task pipe is one 4-byte record, written by
 # itself: POSIX makes a pipe write of at most PIPE_BUF (>= 512) bytes atomic,
-# so a worker's 4-byte read never takes part of a record
+# so a reader's 4-byte read never takes part of a record
 _RECORD = 4
 
 
@@ -302,22 +304,29 @@ def _scan_worker(shard: tuple[NumericalSemigroup, int], lo: int, predicate):
     return scanned, rows
 
 
-def _shard_worker(tasks: int, results: int, shards: list, lo: int, predicate) -> int:
-    """The body of a forked scan worker: scan each shard whose index it
-    reads from ``tasks`` until the pipe runs dry, then write to ``results``
-    the pickled (index, result) pairs, or the (index, exception) of the
-    shard that raised.  Returns the exit status."""
-    done: list = []
-    failure = None
+def _pull_shards(tasks: int, shards: list, lo: int, predicate, done: list):
+    """Scan each shard whose index is read from the pipe ``tasks`` until it
+    runs dry, adding its (index, result) pair to ``done``.  Returns None, or
+    the (index, exception) of the shard that raised, which ends the pull."""
     index = -1
     try:
         while record := os.read(tasks, _RECORD):
             index = int.from_bytes(record, "little")
             done.append((index, _scan_worker(shards[index], lo, predicate)))
     except Exception as exc:
-        done, failure = [], (index, exc)  # small, so the worker exits at once
+        return index, exc
+    return None
+
+
+def _shard_worker(tasks: int, results: int, shards: list, lo: int, predicate) -> int:
+    """The body of a forked scan helper: pull shards from ``tasks``, then
+    write to ``results`` the pickled (done, failure) of the pull, with no
+    pairs if a shard raised, so the helper exits at once.  Returns the exit
+    status."""
+    done: list = []
+    failure = _pull_shards(tasks, shards, lo, predicate, done)
     with open(results, "wb") as out:
-        out.write(pickle.dumps((done, failure)))
+        out.write(pickle.dumps(([] if failure else done, failure)))
     return 0
 
 
@@ -328,28 +337,32 @@ def _pipe(ends: contextlib.ExitStack) -> list:
 
 
 def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
-    """Scan ``shards`` on ``workers`` forked processes and return each
-    shard's (scanned, rows) in shard order.
+    """Scan ``shards`` on ``workers`` processes, this one and ``workers - 1``
+    forked helpers, and return each shard's (scanned, rows) in shard order.
 
-    Nothing is pickled to a worker: it inherits the shards and the
+    Nothing is pickled to a helper: it inherits the shards and the
     predicate, and takes shard indices from one pipe until it is empty.
-    The indices are written after the forks, so the write never waits for
-    a reader that does not exist yet.  The parent only hands out indices and
-    gathers results.  If a shard raised, the exception of the first such
-    shard is raised here, as the serial scan would raise it; a worker that
-    dies without a result is ``WorkerFailed``.  Every worker is reaped
-    before this returns or raises.
+    The parent writes the indices with its write end non-blocking; an index
+    that finds the pipe full it scans itself, so no write waits for a
+    reader, and no read waits on a pipe it still holds open.  Once every
+    index is handed out it closes the write end and pulls from the pipe as
+    a helper does.  If a shard raised, the exception of the first such
+    shard is raised here, as the serial scan would raise it: indices go out
+    in order, so every lower one was taken.  A helper that dies without a
+    result is ``WorkerFailed``.  Every helper is reaped before this returns
+    or raises.
     """
     pending: dict[int, Any] = {}  # pid -> the read end of its result pipe
+    done: list = []
     try:
         # each pipe end is an unbuffered file, closed once: early where a
         # process must not hold it, else when the stack unwinds
         with contextlib.ExitStack() as ends:
             tasks_r, tasks_w = _pipe(ends)
-            for _ in range(workers):
+            for _ in range(workers - 1):
                 result_r, result_w = _pipe(ends)
                 pid = os.fork()
-                if pid == 0:  # the worker leaves only by os._exit
+                if pid == 0:  # the helper leaves only by os._exit
                     status = 70  # EX_SOFTWARE, if the body itself fails
                     try:
                         tasks_w.close()  # else its own reads would never see the end
@@ -359,14 +372,19 @@ def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
                         os._exit(status)
                 result_w.close()
                 pending[pid] = result_r
-            tasks_r.close()
-            # with every worker dead the write fails; their statuses say why
-            with contextlib.suppress(BrokenPipeError):
-                for i in range(len(shards)):
-                    tasks_w.write(i.to_bytes(_RECORD, "little"))
+            failure = None
+            os.set_blocking(tasks_w.fileno(), False)
+            for i in range(len(shards)):
+                if tasks_w.write(i.to_bytes(_RECORD, "little")) is None:  # pipe full
+                    try:
+                        done.append((i, _scan_worker(shards[i], lo, predicate)))
+                    except Exception as exc:
+                        failure = (i, exc)
+                        break
             tasks_w.close()
-            parts: dict[int, Any] = {}
-            failures = []
+            if failure is None:
+                failure = _pull_shards(tasks_r.fileno(), shards, lo, predicate, done)
+            failures = [failure] if failure else []
             for pid, result_r in list(pending.items()):
                 data = result_r.read()
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -374,10 +392,10 @@ def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
                 if not data:
                     raise WorkerFailed(f"scan worker exited with status {status} "
                                        "before sending its result")
-                done, failure = pickle.loads(data)
-                parts.update(done)
-                if failure is not None:
-                    failures.append(failure)
+                helper_done, helper_failure = pickle.loads(data)
+                done += helper_done
+                if helper_failure is not None:
+                    failures.append(helper_failure)
     finally:
         for pid in pending:
             with contextlib.suppress(ProcessLookupError):
@@ -385,6 +403,7 @@ def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
             os.waitpid(pid, 0)
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+    parts = dict(done)
     return [parts[i] for i in range(len(shards))]
 
 
@@ -444,7 +463,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone, as in `sgp scan ... | head`: the output still
+        # buffered goes to /dev/null, so the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,18 +1,19 @@
 """Type-(N, gamma) verdicts, forced-structure checks, symmetry, projection."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgp.bounds import rho1
+from sgp.bounds import rho1, rho3
 from sgp.classify import (PRIME_CAP, TypeVerdict, arithmetic_cover_criterion,
                           exclusive_types, is_prime, is_type_by_genus,
                           is_type_by_tail, leading_gcd, project_by_n,
                           symmetry_profile, type_test, type_verdict)
 from sgp.core import (NumericalSemigroup, _bit_positions, _exceptional_bits, descendants,
-                      from_gaps, from_generators, natural_gamma)
+                      enumerate_genus_range, from_gaps, from_generators, natural_gamma)
 from sgp.errors import CapExceeded, GenusZero, NotPrime, PreconditionViolated
 
 BUCHWEITZ_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
@@ -306,6 +307,25 @@ def test_arithmetic_cover_criterion():
     assert arithmetic_cover_criterion(from_generators([3, 17]), 2, 1) is False
     with pytest.raises(PreconditionViolated):
         arithmetic_cover_criterion(from_generators([4, 7]), 2, 1)  # genus 9 = rho3
+
+
+def test_arithmetic_cover_criterion_census():
+    # (type_verdict, criterion) over every semigroup of genus rho3 < g <= 19,
+    # for each prime N <= 7 and gamma <= 3 with that range not empty (for
+    # N = 5 and 7, rho3 >= 36); the criterion misses all 51 of type (3, 0)
+    pairs = [(N, gamma) for N in (2, 3, 5, 7) for gamma in range(4) if rho3(N, gamma) < 19]
+    counts = {pair: Counter() for pair in pairs}
+    for H in enumerate_genus_range(min(rho3(*pair) for pair in pairs) + 1, 19):
+        for N, gamma in pairs:
+            if H.genus > rho3(N, gamma):
+                counts[N, gamma][type_verdict(H, N, gamma).is_type,
+                                 arithmetic_cover_criterion(H, N, gamma)] += 1
+    assert counts == {
+        (2, 0): {(True, True): 16, (False, False): 55_722},
+        (2, 1): {(True, True): 20, (False, False): 55_452},
+        (2, 2): {(True, True): 28, (False, False): 48_754},
+        (3, 0): {(True, False): 51, (False, False): 55_217},
+    }
 
 
 def test_project_by_n():

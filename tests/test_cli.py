@@ -409,22 +409,15 @@ def test_forked_scan_raises_like_serial(capsys, monkeypatch, time_limit):
     assert_no_children()
 
 
-def kill_worker_on_chain_end(monkeypatch):
-    """Make a forked worker of a 12..14 scan exit with status 3, and no
-    result, when it takes the shard of the chain's last node."""
+def kill_helpers(monkeypatch):
+    """Make every forked helper exit with status 3, and no result, before
+    it takes a shard; the parent then scans every shard itself."""
     import sgp.cli
-    original = sgp.cli._scan_worker
-
-    def dies_on_one_shard(shard, lo, predicate):
-        if shard[0].gaps == tuple(range(1, 13)):
-            os._exit(3)
-        return original(shard, lo, predicate)
-
-    monkeypatch.setattr(sgp.cli, "_scan_worker", dies_on_one_shard)
+    monkeypatch.setattr(sgp.cli, "_shard_worker", lambda *args: os._exit(3))
 
 
 def test_forked_scan_worker_death(capsys, monkeypatch, time_limit):
-    kill_worker_on_chain_end(monkeypatch)
+    kill_helpers(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, out, _ = invoke(capsys, "scan", "--genus", "12..14",
                           "--predicate", "symmetric", "--parallelism", "2")
@@ -435,8 +428,8 @@ def test_forked_scan_worker_death(capsys, monkeypatch, time_limit):
 
 
 def test_forked_shards_each_come_back_once(monkeypatch, time_limit):
-    # more indices than one pipe buffer holds, so the parent's writes wait
-    # for the workers' reads
+    # more indices than one pipe buffer holds: a write that finds the pipe
+    # full does not wait, as the parent scans that shard itself
     import sgp.cli
     monkeypatch.setattr(sgp.cli, "_scan_worker",
                         lambda shard, lo, predicate: (1, [shard]))
@@ -447,8 +440,9 @@ def test_forked_shards_each_come_back_once(monkeypatch, time_limit):
     def raises(shard, lo, predicate):
         raise ValueError(shard)
 
-    # every worker stops at its first shard, so the writes meet no reader;
-    # the first shard's exception comes back, as in a serial scan
+    # every process stops at its first shard, the parent at the first one
+    # that does not fit in the pipe; the first shard's exception comes back,
+    # as in a serial scan
     monkeypatch.setattr(sgp.cli, "_scan_worker", raises)
     with pytest.raises(ValueError) as info:
         sgp.cli._fork_shards(shards, 0, None, 2)
@@ -456,9 +450,41 @@ def test_forked_shards_each_come_back_once(monkeypatch, time_limit):
     assert_no_children()
 
 
+def test_forked_parent_scans_what_helpers_leave(monkeypatch, time_limit):
+    # helpers that take no shard: the parent scans each index that did not
+    # fit in the pipe, then pulls the rest
+    import pickle
+    import sgp.cli
+
+    def idle_helper(tasks, results, shards, lo, predicate):
+        with open(results, "wb") as out:
+            out.write(pickle.dumps(([], None)))
+        return 0
+
+    monkeypatch.setattr(sgp.cli, "_shard_worker", idle_helper)
+    monkeypatch.setattr(sgp.cli, "_scan_worker",
+                        lambda shard, lo, predicate: (1, [shard]))
+    shards = list(range(20000))
+    assert sgp.cli._fork_shards(shards, 0, None, 3) == [(1, [i]) for i in shards]
+    assert_no_children()
+
+
+def test_forked_scan_with_every_helper_dead(monkeypatch, time_limit):
+    # the parent scans all 20,000 shards, more than one pipe buffer holds,
+    # then finds no result from either helper
+    import sgp.cli
+    from sgp.errors import WorkerFailed
+    kill_helpers(monkeypatch)
+    monkeypatch.setattr(sgp.cli, "_scan_worker",
+                        lambda shard, lo, predicate: (1, [shard]))
+    with pytest.raises(WorkerFailed, match="status 3"):
+        sgp.cli._fork_shards(list(range(20000)), 0, None, 3)
+    assert_no_children()
+
+
 def test_forked_workers_reaped_when_gathering_fails(monkeypatch, time_limit):
     # the parent fails on the first result it reads, with the other
-    # worker not yet reaped
+    # helper not yet reaped
     import pickle
     import sgp.cli
 
@@ -473,7 +499,7 @@ def test_forked_workers_reaped_when_gathering_fails(monkeypatch, time_limit):
                         lambda shard, lo, predicate: (1, [shard]))
     monkeypatch.setattr(sgp.cli, "pickle", UnreadablePickle)
     with pytest.raises(RuntimeError, match="unreadable result"):
-        sgp.cli._fork_shards(list(range(100)), 0, None, 2)
+        sgp.cli._fork_shards(list(range(100)), 0, None, 3)
     assert_no_children()
 
 
@@ -490,7 +516,7 @@ def test_forked_scan_leaves_no_descriptor_open(capsys, monkeypatch, time_limit):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert forked_scan("--genus", "12..14", "--predicate", "symmetric") == 0
     assert forked_scan("--genus", "16..17", "--predicate", "bc_fail", "--n", "40000") == 2
-    kill_worker_on_chain_end(monkeypatch)
+    kill_helpers(monkeypatch)
     assert forked_scan("--genus", "12..14", "--predicate", "symmetric") == 2
     assert_no_children()
 
@@ -693,6 +719,19 @@ def test_reused_parser_keeps_no_state(capsys):
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), second
     assert json.loads(got[2])["error"]["message"] == "missing family parameter g"
     assert json.loads(invoke(capsys, "info", "gens:4,7")[1])["genus"] == 9
+
+
+def test_closed_stdout_exits_141():
+    # the reader is gone before the first write, as in `sgp scan ... | head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sgp.cli", "scan", "--genus", "0..9",
+                               "--predicate", "symmetric"],
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_module_entry_point():
