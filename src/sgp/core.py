@@ -48,14 +48,14 @@ class NumericalSemigroup:
     fields, from its effective generators (the minimal generators above
     the Frobenius number), whose removal keeps closure.  The bitset is all
     a constructor builds: the gap tuple, the elements below the conductor,
-    the effective and the minimal generators and the n-fold gap sumsets
-    are derived on first use and cached, so a semigroup pays only for what
-    is read of it; tree children derive their effective generators and
-    carry their sumsets from the parent's.
+    the effective and the minimal generators, the elements' mirror and the
+    n-fold gap sumsets are derived on first use and cached, so a semigroup
+    pays only for what is read of it; tree children derive the first two of
+    those from the parent's and carry the sumsets down.
     """
 
     __slots__ = ("_gaps", "genus", "frobenius", "conductor", "_member_bits",
-                 "_small", "_min_gens", "_eff", "_parent", "_sumsets")
+                 "_small", "_min_gens", "_eff", "_parent", "_sumsets", "_rev")
 
     def __init__(self, gaps: Iterable[int] | int = ()):
         """``gaps``: the gaps in any order, or their bitset (bit k: k is a gap)."""
@@ -77,6 +77,7 @@ class NumericalSemigroup:
         # a tree child's parent; the child is the parent minus its frobenius
         self._parent: NumericalSemigroup | None = None
         self._sumsets: tuple[int, ...] = ()
+        self._rev: int | None = None
         # the closure sieve: the least gap that two elements sum to, if any
         pos = self._member_bits & ~1
         bad = _pair_sums(pos, self.frobenius) & gap_bits
@@ -211,6 +212,27 @@ class NumericalSemigroup:
             node._sumsets = tuple(carried)
         return self._sumsets
 
+    def _mirror_bits(self) -> int:
+        """Bit j set iff F - j is an element, for 0 <= j <= F; on first use,
+        a tree child H minus x shifts its parent's mirror, if set, by d = x -
+        F(H) and fills bits 1 .. d - 1 (the elements F(H) + 1 .. x - 1).  An
+        ordinary semigroup has only 0 up to F; any other reverses its bits
+        once (``_mirror``).  Nothing walks up the tree: a walk reads a node
+        where it or its parent is expanded, so the parent's mirror is set."""
+        rev = self._rev
+        if rev is None:
+            x = self.frobenius
+            parent = self._parent
+            if parent is not None and parent._rev is not None:
+                d = x - parent.frobenius
+                rev = parent._rev << d | (1 << d) - 2
+            elif x == self.genus:
+                rev = 1 << x
+            else:
+                rev = _mirror(self._member_bits & ((1 << self.conductor) - 1), x)
+            self._rev = rev
+        return rev
+
     def _effective_generators(self) -> tuple[int, ...]:
         """The minimal generators above the Frobenius number, ascending:
         those whose removal gives a tree child.  Derived on first use.
@@ -219,8 +241,8 @@ class NumericalSemigroup:
         above x.  Every minimal generator of the child lies below x + 1 + m,
         and a new one has the form x + s with s a minimal generator of H, so
         the only candidate is x + m.  It is new unless it splits as a + b
-        with m < a <= b elements; then both lie below x, so H and the child
-        agree on them.
+        with m < a, b < x elements, which H and the child share: bit j of
+        the AND is set iff j + m and x - j are such a split.
         """
         if self._eff is not None:
             return self._eff
@@ -236,12 +258,8 @@ class NumericalSemigroup:
             bits = self._member_bits
             b = bits >> 1
             m = (b & -b).bit_length()
-            t = x + m
-            for a in range(m + 1, t // 2 + 1):
-                if bits >> a & 1 and bits >> (t - a) & 1:
-                    break
-            else:
-                eff += (t,)
+            if not bits >> m & self._mirror_bits() & (1 << x - m) - 2:
+                eff += (x + m,)
         self._eff = eff
         return eff
 
@@ -386,11 +404,11 @@ def _mirror(bits: int, top: int) -> int:
 
 def _exceptional_bits(H: NumericalSemigroup) -> int:
     """Bitset of the gaps h with F/2 <= h < F whose mirror F - h is a gap
-    too, for F >= 1 the Frobenius number: one AND of the gaps with their
-    mirror, cut below F/2.  When F is even, F/2 is the least of them."""
-    gaps = H._gap_bits()
-    half = H.conductor >> 1  # ceil(F / 2); the AND has no bit F, as 0 is no gap
-    return gaps & _mirror(gaps, H.frobenius) >> half << half
+    too, for F >= 1 the Frobenius number: one AND of the gaps with the
+    complement of the elements' mirror (``_mirror_bits``), cut below F/2.
+    When F is even, F/2 is the least of them."""
+    half = H.conductor >> 1  # ceil(F / 2); bit F of the mirror is 0, an element
+    return H._gap_bits() >> half << half & ~H._mirror_bits()
 
 
 @dataclass(frozen=True)
@@ -460,6 +478,7 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
         child._min_gens = None
         child._eff = None
         child._parent = H
+        child._rev = None
         if sums:
             carried = []
             prev = 1

@@ -10,8 +10,9 @@ class instead of one per gap.  The levels stay on the semigroup: a tree
 child derives its own from its parent's with one shift-or per level, so in
 a scan only the root of the tree builds them.  The excess of the
 pairwise sumset over its guaranteed baseline drives the pairing
-obstruction, which reads the exceptional gaps off one AND of the gap
-bitset with its mirror (``core._exceptional_bits``).
+obstruction.  It reads the exceptional gaps and its chain sums off the
+elements' mirror (``core._exceptional_bits``), which a tree child derives
+from its parent's with one shift-or.
 """
 
 from __future__ import annotations
@@ -109,7 +110,9 @@ def _pairing_verdict(H: NumericalSemigroup) -> str | None:
     there are always i - 1, as the g - 1 gaps below ell fill the g - i
     pairs {k, ell - k}, at least one in each.  h_1, h_2 and the least of
     them are read off their bitset by bit length; the rest are decoded
-    only when the first test passes.
+    only when the first test passes.  2 ell - s = ell - (s - ell) is in H
+    iff bit s - ell of the mirror (``_mirror_bits``) is set: one AND tests
+    every h_1 + h_v, one bit each h_u + h_{u+1} and 2 h_u.
     """
     g = H.genus
     ell = H.frobenius
@@ -123,11 +126,13 @@ def _pairing_verdict(H: NumericalSemigroup) -> str | None:
     h2 = (bits ^ 1 << h1).bit_length() - 1
     if not h1 + (bits & -bits).bit_length() - 1 > 2 * h2:
         return INCONCLUSIVE
-    hs = _bit_positions(bits)[::-1]
-    rest = hs[1:]
-    # the chain sums h_1 + h_v, then h_u + h_{u+1} and 2 h_u for u >= 2
-    for s in chain(map(h1.__add__, hs), map(add, rest, rest[1:]), map(add, rest, rest)):
-        if 2 * ell - s in H:
+    rev = H._mirror_bits()
+    if bits << h1 >> ell & rev:  # the sums h_1 + h_v, h_1 itself included
+        return INCONCLUSIVE
+    rest = _bit_positions(bits ^ 1 << h1)[::-1]
+    # then h_u + h_{u+1} and 2 h_u for u >= 2
+    for s in chain(map(add, rest, rest[1:]), map(add, rest, rest)):
+        if rev >> s - ell & 1:
             return INCONCLUSIVE
     return NOT_WEIERSTRASS
 

@@ -1,6 +1,7 @@
 """Type-(N, gamma) verdicts, forced-structure checks, symmetry, projection."""
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -325,6 +326,32 @@ def test_arithmetic_cover_criterion_census():
         (2, 1): {(True, True): 20, (False, False): 55_452},
         (2, 2): {(True, True): 28, (False, False): 48_754},
         (3, 0): {(True, False): 51, (False, False): 55_217},
+    }
+
+
+def test_arithmetic_cover_criterion_census_seeded():
+    # (type_verdict, criterion) for (3, 1), (5, 0) and (7, 0), whose rho3
+    # (25, 36, 78) leaves few or no semigroups of genus <= 19, over a seeded
+    # sample of generator sets: a multiplicity m < 13 and one to three more
+    # generators below 8m, genus up to about 500; the criterion's range of A
+    # is empty after divisor_condition, so it misses every semigroup of type
+    rng = random.Random(2026)
+    pairs = [(3, 1), (5, 0), (7, 0)]
+    counts = {pair: Counter() for pair in pairs}
+    for _ in range(4000):
+        m = rng.randrange(3, 13)
+        gens = [m] + rng.sample(range(m + 1, 8 * m), rng.randrange(1, 4))
+        if math.gcd(*gens) != 1:
+            continue
+        H = from_generators(gens)
+        for N, gamma in pairs:
+            if H.genus > rho3(N, gamma):
+                counts[N, gamma][type_verdict(H, N, gamma).is_type,
+                                 arithmetic_cover_criterion(H, N, gamma)] += 1
+    assert counts == {
+        (3, 1): {(True, False): 7, (False, False): 2_292},
+        (5, 0): {(True, False): 102, (False, False): 1_875},
+        (7, 0): {(True, False): 98, (False, False): 925},
     }
 
 

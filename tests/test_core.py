@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgp.core
-from sgp.core import (NumericalSemigroup, _bit_positions, _genus_shards, _mirror,
-                      apery_profile, descendants, enumerate_genus_range, format_semigroup,
+from sgp.core import (NumericalSemigroup, _bit_positions, _exceptional_bits, _genus_shards,
+                      _mirror, apery_profile, descendants, enumerate_genus_range, format_semigroup,
                       from_gaps, from_generators, natural_gamma,
                       parse_semigroup, tree_children)
 from sgp.errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
                         NotASemigroup, SemigroupError)
+from sgp.obstruction import _pairing_verdict, pairing_rules_out
 
 
 def sieve_elements(gens, bound):
@@ -578,7 +579,7 @@ def _child_reference(H, x):
     return {"gaps": H.gaps + (x,), "genus": H.genus + 1, "frobenius": x,
             "conductor": x + 1,
             "_member_bits": (H._member_bits | (mask ^ ((1 << c) - 1))) & ~(1 << x),
-            "_small": None, "_min_gens": None, "_eff": None,
+            "_small": None, "_min_gens": None, "_eff": None, "_rev": None,
             "_sumsets": tuple(carried)}
 
 
@@ -602,6 +603,64 @@ def test_children_builder_matches_child_exhaustive():
                 assert kid._effective_generators() == tuple(
                     y for y in gens if y > x), (H.gaps, x)
                 assert kid.min_generators == gens, (H.gaps, x)
+
+
+def _mirror_by_definition(H):
+    """Bit j set iff F - j is an element, for 0 <= j <= F, by membership."""
+    F = H.frobenius
+    return sum(1 << j for j in range(F + 1) if F - j in H)
+
+
+def _mirror_roots():
+    """Fresh roots whose subtrees to genus 16 the carried-mirror tests walk:
+    the naturals, whose first children form the ordinary chain, the ordinary
+    <6, ..., 11> built from its generators, and roots of multiplicity 3, 4
+    and 7 built from generators, with no parent to carry a mirror from."""
+    return (NumericalSemigroup(), from_generators(range(6, 12)),
+            from_generators([3, 10, 11]), from_generators([4, 10, 11, 13]),
+            from_generators([7, 9, 10, 11, 12, 13, 15]))
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_carried_mirror_matches_definition_exhaustive(before):
+    # each node's mirror read as the walk yields it, before its children are
+    # built, or only once the walk is over, when an expanded node has derived
+    # its own; either way most nodes shift their parent's mirror, so the fill
+    # of the elements between the two Frobenius numbers is checked
+    carried = 0
+    for root in _mirror_roots():
+        nodes = []
+        for H in descendants(root, 16):
+            nodes.append(H)
+            if before:
+                assert H._mirror_bits() == _mirror_by_definition(H), H.gaps
+        for H in nodes:
+            assert H._mirror_bits() == _mirror_by_definition(H), H.gaps
+            carried += H._parent is not None and H._parent._rev is not None
+    assert carried > 10_000
+
+
+def _effective_by_splits(H):
+    """A tree child's effective generators as its parent's above x = F,
+    then x + m unless a loop over a finds the split x + m = a + b with
+    m < a <= b elements: the per-a test the mirror AND replaced."""
+    x, m = H.frobenius, H.multiplicity
+    eff = tuple(y for y in H._parent._effective_generators() if y > x)
+    t = x + m
+    if all(a not in H or t - a not in H for a in range(m + 1, t // 2 + 1)):
+        eff += (t,)
+    return eff
+
+
+def test_effective_generators_match_split_reference_exhaustive():
+    # every expanded non-ordinary node with a parent, to genus 16
+    checked = 0
+    for root in _mirror_roots():
+        for H in descendants(root, 16):
+            if H.genus < 16 and H._parent is not None and H.frobenius > H.genus:
+                assert H._effective_generators() == _effective_by_splits(H), H.gaps
+                checked += 1
+    assert checked > 10_000
 
 
 def test_walk_derives_generators_only_where_read(monkeypatch):
@@ -652,8 +711,9 @@ def test_walk_derives_generators_only_where_read(monkeypatch):
 
 def test_deep_chain_derives_generators_without_recursion():
     # below <2, 5> every node <2, 2k + 1> has the one child <2, 2k + 3>, so
-    # the walk is a chain deeper than the recursion limit, and its last node
-    # derives its generators through every ancestor up to the root
+    # the walk is a chain deeper than the recursion limit; its last node
+    # derives its generators and its mirror from its parent's, and reads its
+    # exceptional gaps and its pairing verdict off that mirror
     root = from_generators([2, 5])
     depth = sys.getrecursionlimit() + 10
     nodes = 0
@@ -661,6 +721,10 @@ def test_deep_chain_derives_generators_without_recursion():
         nodes += 1
     assert nodes == depth + 1
     assert H.min_generators == (2, 2 * H.genus + 1)
+    assert H._mirror_bits() == _mirror_by_definition(H)
+    # symmetric: no gap h > F/2 has F - h a gap too, and i = 1 < 4
+    assert _exceptional_bits(H) == 0
+    assert _pairing_verdict(H) is None and not pairing_rules_out(H)
 
 
 def test_walk_matches_a007323_through_genus_20():

@@ -1,16 +1,18 @@
 """Gap-sum profiles, the closed-form candidate set, and the pairing test."""
 
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgp.core import (SUMSET_CACHED_LEVELS, WORK_CAP, NumericalSemigroup, _multiples,
-                      descendants, from_gaps, from_generators, tree_children)
+from sgp.core import (SUMSET_CACHED_LEVELS, WORK_CAP, NumericalSemigroup, _bit_positions,
+                      _exceptional_bits, _multiples, descendants, from_gaps,
+                      from_generators, tree_children)
 from sgp.errors import CapExceeded, GenusTooSmall, WrongShape
-from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, bc_test,
+from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, _pairing_verdict, bc_test,
                              gap_sum_profile, pair_sum_extras,
                              pairing_obstruction, pairing_rules_out)
 
@@ -477,6 +479,35 @@ def test_pairing_obstruction_matches_profile_version_exhaustive():
         seen[want] += 1
     # every outcome occurs, so the comparison is not vacuous
     assert min(seen.values()) > 0
+
+
+def pairing_by_chain(H):
+    """_pairing_verdict with each chain sum s tested as 2 ell - s in H, one
+    at a time, from the decoded exceptional gaps: the loop that the bits of
+    the elements' mirror replaced.  Also returns whether the chain ran."""
+    g, ell = H.genus, H.frobenius
+    if g == 0 or ell % 2 == 0 or g - ell // 2 < 4:
+        return None, False
+    hs = _bit_positions(_exceptional_bits(H))[::-1]
+    if not hs[0] + hs[-1] > 2 * hs[1]:
+        return INCONCLUSIVE, False
+    rest = hs[1:]
+    sums = [hs[0] + h for h in hs] + [a + b for a, b in zip(rest, rest[1:])]
+    sums += [2 * h for h in rest]
+    if any(2 * ell - s in H for s in sums):
+        return INCONCLUSIVE, True
+    return NOT_WEIERSTRASS, True
+
+
+def test_pairing_verdict_matches_chain_reference_exhaustive():
+    # every node to genus 17 in walk order, so each reads its parent's mirror
+    seen = Counter()
+    for H in descendants(NumericalSemigroup(), 17):
+        want, ran = pairing_by_chain(H)
+        assert _pairing_verdict(H) == want, H.gaps
+        seen[want, ran] += 1
+    # both outcomes of the chain occur, so the comparison is not vacuous
+    assert seen[INCONCLUSIVE, True] > 0 and seen[NOT_WEIERSTRASS, True] > 0
 
 
 def test_exceptional_gap_count_is_forced_exhaustive():
