@@ -105,20 +105,37 @@ def type_verdict(H: NumericalSemigroup, N: int, gamma: int) -> TypeVerdict:
 def type_test(N: int, gamma: int) -> Callable[[NumericalSemigroup], bool]:
     """``lambda H: type_verdict(H, N, gamma).is_type`` for many semigroups.
 
-    The mask of multiples of N is built once and widened only when a
-    conductor outgrows it; no verdict object or gamma_n is computed.
+    For gamma >= 1 and T = 2N*gamma, conditions (a)-(c) together say: the
+    positive elements up to T are exactly gamma multiples of N, T is one
+    of them, and T + N is an element.  A node is read as its membership
+    bitset with every bit from the conductor c up filled in, ANDed with
+    the window of bits 1 .. T and T + N; the window's non-multiples of N
+    must be empty and T, T + N set (one more AND), and its popcount must
+    be gamma + 1.  Two answers need no mask: gamma = 0 is N in H, and
+    T >= 2c is False, since the elements in [c, T] alone outnumber gamma.
+    Otherwise T + N < 3c, so the masks, built once on the first node that
+    reads them, are under 3c bits wide however large N or gamma is.
     """
     if N < 1 or gamma < 0:
         raise ValueError("need N >= 1 and gamma >= 0")
-    width = 64
-    multiples = _multiples(N, min(2 * gamma, width // N))
+    if gamma == 0:
+        return lambda H: N >= H.conductor or H._member_bits >> N & 1 == 1
+    half = N * gamma
+    top = 2 * half
+    window = probe = need = 0
 
     def is_type(H: NumericalSemigroup) -> bool:
-        nonlocal width, multiples
-        if H.conductor > width:
-            width = 2 * H.conductor
-            multiples = _multiples(N, min(2 * gamma, width // N))
-        return all(_type_conditions(H, N, gamma, multiples))
+        nonlocal window, probe, need
+        c = H.conductor
+        if c <= half:  # T >= 2c
+            return False
+        if not window:
+            need = 1 << top | 1 << top + N
+            window = (2 << top) - 2 | need
+            probe = window & ~_multiples(N, 2 * gamma) | need
+        # bit c is set and none above it, so this is the bitset | -(1 << c)
+        seen = (H._member_bits - (2 << c)) & window
+        return seen & probe == need and seen.bit_count() == gamma + 1
 
     return is_type
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -127,6 +128,37 @@ def test_type_test_widens_its_mask():
         type_test(0, 1)
     with pytest.raises(ValueError):
         type_test(2, -1)
+
+
+def test_type_test_matches_verdict_exhaustive(by_genus):
+    # the benchmark's pairs, and N = 1, where every element up to T counts
+    pairs = [(2, 1), (5, 2), (7, 2), (11, 1)] + [(1, gamma) for gamma in range(17)]
+    tests = {pair: type_test(*pair) for pair in pairs}
+    matched = Counter()
+    for g in range(16):
+        for H in by_genus(g):
+            for (N, gamma), is_type in tests.items():
+                want = type_verdict(H, N, gamma).is_type
+                assert is_type(H) == want, (H.gaps, N, gamma)
+                matched[N, gamma] += want
+    assert matched[2, 1] > 0 and matched[1, 8] > 0
+
+
+def test_type_test_huge_predicates_stay_small(by_genus):
+    # masks as wide as T + N would need terabytes; gamma = 0 needs none,
+    # and T >= 2c answers False before any mask is built
+    semigroups = [H for g in range(9) for H in by_genus(g)]
+    tracemalloc.start()
+    try:
+        all_n = type_test(10**12, 0)
+        no_gamma = type_test(2, 10**12)
+        answers = (all(all_n(H) for H in semigroups),
+                   any(no_gamma(H) for H in semigroups))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == (True, False)
+    assert peak < 64 * 1024, peak
 
 
 def test_exclusive_types():
