@@ -8,21 +8,19 @@ progressions: the gaps of each residue class modulo the multiplicity form
 one, ending below its Apery element, so a level costs a few shift-ors per
 class instead of one per gap.  The levels stay on the semigroup: a tree
 child derives its own from its parent's with one shift-or per level, so in
-a scan only the root of the tree builds them.  The excess of the
-pairwise sumset over its guaranteed baseline drives the pairing
-obstruction.  It reads the exceptional gaps and its chain sums off the
-elements' mirror (``core._exceptional_bits``), which a tree child derives
-from its parent's with one shift-or.
+a scan only the root of the tree builds them.  The pairing obstruction
+is Buchweitz's count at n = 2 (Buchweitz, thesis, Hannover 1976) on the
+shape last gap 2g-2i+1, i >= 4: there the excess of the pairwise sumset
+over its guaranteed baseline is at least 2i-2 exactly when
+#G_2 > 3(g-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import add
 from typing import Callable
 
-from .core import NumericalSemigroup, _bit_positions, _exceptional_bits
+from .core import NumericalSemigroup, _bit_positions
 from .errors import GenusTooSmall, WrongShape
 
 NOT_WEIERSTRASS = "not_weierstrass"
@@ -80,6 +78,9 @@ def bc_test(n: int) -> Callable[[NumericalSemigroup], bool]:
     return fails
 
 
+_fails_pairs = bc_test(2)
+
+
 def gap_sum_profile(H: NumericalSemigroup, n: int) -> GapSumProfile:
     """Exact n-fold sumset of the gap set, with repetition allowed, counted
     by popcount as bc_test counts it."""
@@ -103,57 +104,27 @@ def pair_sum_extras(H: NumericalSemigroup) -> tuple[int, ...]:
 
 
 def _pairing_verdict(H: NumericalSemigroup) -> str | None:
-    """pairing_obstruction(H), or None where it raises WrongShape.
-
-    WrongShape depends only on g and the last gap.  The exceptional gaps are
-    read straight from the membership bitset, with no count to check:
-    there are always i - 1, as the g - 1 gaps below ell fill the g - i
-    pairs {k, ell - k}, at least one in each.  h_1, h_2 and the least of
-    them are read off their bitset by bit length; the rest are decoded
-    only when the first test passes.  2 ell - s = ell - (s - ell) is in H
-    iff bit s - ell of the mirror (``_mirror_bits``) is set: one AND tests
-    every h_1 + h_v, one bit each h_u + h_{u+1} and 2 h_u.
-    """
+    """pairing_obstruction(H), or None where it raises WrongShape, which
+    depends only on g and the last gap."""
     g = H.genus
     ell = H.frobenius
-    if g == 0 or ell % 2 == 0:
+    if g == 0 or ell % 2 == 0 or g - ell // 2 < 4:  # ell = 2g - 2i + 1
         return None
-    i = g - ell // 2  # ell = 2g - 2i + 1
-    if i < 4:
-        return None
-    bits = _exceptional_bits(H)
-    h1 = bits.bit_length() - 1
-    h2 = (bits ^ 1 << h1).bit_length() - 1
-    if not h1 + (bits & -bits).bit_length() - 1 > 2 * h2:
-        return INCONCLUSIVE
-    rev = H._mirror_bits()
-    if bits << h1 >> ell & rev:  # the sums h_1 + h_v, h_1 itself included
-        return INCONCLUSIVE
-    rest = _bit_positions(bits ^ 1 << h1)[::-1]
-    # then h_u + h_{u+1} and 2 h_u for u >= 2
-    for s in chain(map(add, rest, rest[1:]), map(add, rest, rest)):
-        if rev >> s - ell & 1:
-            return INCONCLUSIVE
-    return NOT_WEIERSTRASS
+    return NOT_WEIERSTRASS if _fails_pairs(H) else INCONCLUSIVE
 
 
 def pairing_obstruction(H: NumericalSemigroup) -> str:
-    """Rule H out as a Weierstrass semigroup from its exceptional gaps.
+    """Rule H out as a Weierstrass semigroup by its pairwise gap sums.
 
-    Requires last gap 2g-2i+1 with i >= 4.  H then has exactly i-1
-    pairing-violating gaps h_1 > ... > h_{i-1}: the gaps strictly between
-    g-i and the last gap whose mirror last_gap - h is also a gap.  If
-    h_1 + h_{i-1} > 2 h_2, and 2*last_gap - h_u - h_v is a gap for every
-    pair on the two descending sum chains (h_1 against everything, then
-    the consecutive chain among h_2, ..., h_{i-1}), the pairwise sumset
-    overshoots its bound by at least 2i-2 and H cannot be a Weierstrass
-    semigroup.  Returns "not_weierstrass" or "inconclusive"; raises
-    WrongShape on any other shape.
-
-    The gap condition is checked literally; when a chain sum equals
-    last_gap plus an exceptional gap it can hold even though that sum is
-    already inside the guaranteed baseline, so callers wanting the count
-    certified should cross-check gap_sum_profile(H, 2).
+    Requires last gap 2g-2i+1 with i >= 4.  The pairwise sumset G_2 then
+    holds the baseline {2, ..., last_gap} and last_gap + every gap, 3g-2i
+    sums, and H is ruled out when its excess over them reaches 2i-2: that
+    is #G_2 > 3(g-1), the failure of Buchweitz's bound at n = 2 (Buchweitz,
+    thesis, Hannover 1976), which no Weierstrass semigroup shows.  Returns
+    "not_weierstrass" exactly when the count certifies it and
+    "inconclusive" otherwise; raises WrongShape on any other shape.  The
+    count reads the sumset (``_sumset(2)``), so a sumset past the work cap
+    raises CapExceeded, as gap_sum_profile(H, 2) does.
     """
     verdict = _pairing_verdict(H)
     if verdict is None:
@@ -162,6 +133,6 @@ def pairing_obstruction(H: NumericalSemigroup) -> str:
 
 
 def pairing_rules_out(H: NumericalSemigroup) -> bool:
-    """``pairing_obstruction(H) == "not_weierstrass"``, and False where it
-    would raise WrongShape, without raising."""
+    """``pairing_obstruction(H) == "not_weierstrass"``, and False, not
+    WrongShape, on any other shape."""
     return _pairing_verdict(H) == NOT_WEIERSTRASS

@@ -188,10 +188,11 @@ def test_scan_type_predicate(capsys):
 def test_scan_rows_carry_min_generators(capsys):
     # rows print the generators each node sieves when read; the constructor agrees
     from sgp.core import from_gaps
-    # bc_fail --n 2 first matches at genus 16
+    # bc_fail --n 2, and with it obstruction, first matches at genus 16
     for genus, predicate, matched in (
             ("0..9", ["symmetric"], 46), ("0..9", ["type:2,1"], 13),
-            ("0..12", ["quasi_symmetric"], 61), ("0..12", ["obstruction"], 1),
+            ("0..12", ["quasi_symmetric"], 61), ("0..12", ["obstruction"], 0),
+            ("16", ["obstruction"], 2),
             ("0..12", ["bc_fail", "--n", "2"], 0), ("16", ["bc_fail", "--n", "2"], 2),
             ("0..12", ["type:3,1"], 68)):
         code, out, _ = invoke(capsys, "scan", "--genus", genus,

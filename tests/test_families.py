@@ -34,15 +34,14 @@ class TestBuchweitzFamily:
         assert r.diagnostics["fails_pair_sum_bound"]
 
     def test_next_instance(self):
-        r = buchweitz_family(18, 4)
-        assert r.semigroup.gaps == tuple(range(1, 15)) + (22, 24, 27, 29)
-        assert r.semigroup.genus == 18
-        assert claims_hold(r)
-        # collision instance: the sum chain loses one member to the
-        # baseline, so the direct pairwise count does not exceed the bound
-        assert r.diagnostics["excess"] == 5
-        assert not r.diagnostics["fails_pair_sum_bound"]
-        assert not r.diagnostics["excess_consistent"]
+        # collision instance: a pairwise sum the construction counts on
+        # lands in the baseline, so the excess is 5 < 2i - 2, the count
+        # meets its bound 51, and the claim is refused
+        H = from_gaps(tuple(range(1, 15)) + (22, 24, 27, 29))
+        assert (H.genus, gap_sum_profile(H, 2).cardinality) == (18, 51)
+        with pytest.raises(ClaimFailed, match="pairing_obstruction expected "
+                                              "'not_weierstrass', got 'inconclusive'"):
+            buchweitz_family(18, 4)
 
     def test_wider_instance(self):
         r = buchweitz_family(25, 5)
@@ -67,19 +66,24 @@ class TestBuchweitzFamily:
             buchweitz_family(14, 4)
 
     def test_grid_fails_bound_off_collision(self):
-        # the pairwise bound fails for every instance except the known
-        # collision lines (g = 9i-18 and g = 13i+4w-40 for some window w)
+        # the pairwise bound fails for every instance except the collisions,
+        # g = 9i-18 and two more at i = 4, which the pairing_obstruction
+        # claim refuses
+        collisions = []
         for i in (4, 5, 6):
             g0 = 9 * i - 20
             for g in range(g0, g0 + 24):
                 if (3 * g + 5 * i - 20) % 2:
                     continue
-                r = buchweitz_family(g, i)
+                try:
+                    r = buchweitz_family(g, i)
+                except ClaimFailed:
+                    collisions.append((g, i))
+                    continue
                 assert claims_hold(r)
-                if r.diagnostics["fails_pair_sum_bound"]:
-                    assert r.diagnostics["excess"] >= 2 * i - 2
-                else:
-                    assert r.diagnostics["excess"] < 2 * i - 2
+                assert r.diagnostics["fails_pair_sum_bound"]
+                assert r.diagnostics["excess"] >= 2 * i - 2
+        assert collisions == [(18, 4), (20, 4), (24, 4), (27, 5), (36, 6)]
 
 
 class TestCoverFamily:

@@ -363,7 +363,7 @@ def test_conjectured_subset_holds_in_regime(by_genus):
 def test_pairing_obstruction_buchweitz():
     H = from_gaps(BUCHWEITZ_GAPS)
     assert pairing_obstruction(H) == NOT_WEIERSTRASS
-    # the six chain sums land beyond the guaranteed baseline
+    # six sums beyond the guaranteed baseline, the 2i - 2 = 6 that certify it
     assert pair_sum_extras(H) == (38, 40, 42, 43, 45, 48)
 
 
@@ -383,18 +383,20 @@ def test_pairing_obstruction_guards():
         pairing_obstruction(from_generators([2, 5]))  # last gap 2g-1, i = 1
     with pytest.raises(WrongShape):
         pairing_obstruction(from_generators([3, 4, 5]))  # even last gap
-    # right shape, but the first chain difference 2*17 - 2*13 = 8 is an
-    # element, so nothing is certified
-    verdict = pairing_obstruction(from_gaps([1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 17]))
-    assert verdict == INCONCLUSIVE
+    # right shape (g = 12, i = 4), but #G_2 = 28 is the baseline 3g - 2i
+    # alone, within the bound 3 * 11, so nothing is certified
+    H = from_gaps([1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 17])
+    assert pairing_obstruction(H) == INCONCLUSIVE
+    assert gap_sum_profile(H, 2).cardinality == 28
 
 
 def test_pairing_literal_condition_vs_direct_count():
     # at g = 9i-18 the chain sum h1+h2 equals last_gap + h3, so the literal
-    # pairing hypothesis holds while the direct excess stays at 2i-3 and
-    # the pairwise bound is met exactly; the disagreement is surfaced here
+    # chain condition holds while the direct excess stays at 2i-3 and the
+    # pairwise bound is met exactly: the count certifies nothing
     H = from_gaps(tuple(range(1, 15)) + (22, 24, 27, 29))
-    assert pairing_obstruction(H) == NOT_WEIERSTRASS
+    assert pairing_by_chain(H) == (NOT_WEIERSTRASS, True)
+    assert pairing_obstruction(H) == INCONCLUSIVE
     p = gap_sum_profile(H, 2)
     assert p.excess == 5 == 2 * 4 - 3
     assert p.passes_bc
@@ -411,19 +413,16 @@ def _chain_pairs(i):
 
 
 def test_pairing_implies_bound_failure_when_sums_are_extra(by_genus):
-    # the literal verdict certifies the bound failure exactly when every
-    # chain sum misses the baseline (h_u + h_v - last_gap not a gap);
-    # disagreements are collisions like the one pinned in the test above
+    # the literal chain condition implies the bound failure exactly when
+    # every chain sum misses the baseline (h_u + h_v - last_gap not a gap);
+    # disagreements are collisions like the one pinned in the test above,
+    # where the verdict, which counts, is inconclusive
     from sgp.classify import symmetry_profile
 
     disagreements = []
     for g in range(2, 13):
         for H in by_genus(g):
-            try:
-                verdict = pairing_obstruction(H)
-            except WrongShape:
-                continue
-            if verdict != NOT_WEIERSTRASS:
+            if pairing_by_chain(H)[0] != NOT_WEIERSTRASS:
                 continue
             ell = H.frobenius
             i = (2 * g + 1 - ell) // 2
@@ -434,16 +433,18 @@ def test_pairing_implies_bound_failure_when_sums_are_extra(by_genus):
             if extras_ok:
                 assert not p.passes_bc
                 assert p.excess >= 2 * i - 2
+                assert pairing_obstruction(H) == NOT_WEIERSTRASS
             else:
                 disagreements.append(H.gaps)
                 assert p.excess >= 2 * i - 3
+                assert pairing_obstruction(H) == INCONCLUSIVE
     # exactly one collision shape exists below genus 13
     assert disagreements == [tuple(range(1, 9)) + (13, 14, 16, 17)]
 
 
 def pairing_by_definition(H):
-    """pairing_obstruction with the exceptional gaps taken from their
-    definition: the h in (g - i, ell) with h and ell - h not in H."""
+    """pairing_obstruction from its definition: the shape of the last gap,
+    then the pairwise gap sums, listed pair by pair, against 3(g - 1)."""
     g = H.genus
     ell = H.frobenius
     if g == 0 or ell % 2 == 0:
@@ -451,16 +452,9 @@ def pairing_by_definition(H):
     i = (2 * g + 1 - ell) // 2
     if i < 4:
         raise WrongShape("need i >= 4")
-    hs = tuple(h for h in range(ell - 1, g - i, -1)
-               if h not in H and ell - h not in H)
-    if len(hs) != i - 1:
-        raise WrongShape("wrong count of exceptional gaps")
-    if not hs[0] + hs[-1] > 2 * hs[1]:
-        return INCONCLUSIVE
-    for u, v in _chain_pairs(i):
-        if (2 * ell - hs[u - 1] - hs[v - 1]) in H:
-            return INCONCLUSIVE
-    return NOT_WEIERSTRASS
+    if len(brute_sums(H.gaps, 2)) > 3 * (g - 1):
+        return NOT_WEIERSTRASS
+    return INCONCLUSIVE
 
 
 def _verdict_or_shape(fn, H):
@@ -471,8 +465,9 @@ def _verdict_or_shape(fn, H):
 
 
 def test_pairing_obstruction_matches_profile_version_exhaustive():
+    # to genus 16, where the first two verdicts occur
     seen = {INCONCLUSIVE: 0, NOT_WEIERSTRASS: 0, WrongShape: 0}
-    for H in descendants(NumericalSemigroup(), 15):
+    for H in descendants(NumericalSemigroup(), 16):
         want = _verdict_or_shape(pairing_by_definition, H)
         assert _verdict_or_shape(pairing_obstruction, H) == want, H.gaps
         assert pairing_rules_out(H) == (want == NOT_WEIERSTRASS), H.gaps
@@ -482,9 +477,12 @@ def test_pairing_obstruction_matches_profile_version_exhaustive():
 
 
 def pairing_by_chain(H):
-    """_pairing_verdict with each chain sum s tested as 2 ell - s in H, one
-    at a time, from the decoded exceptional gaps: the loop that the bits of
-    the elements' mirror replaced.  Also returns whether the chain ran."""
+    """The literal exceptional-gap chain that the pairwise count replaced:
+    with h_1 > ... > h_{i-1} the exceptional gaps, "not_weierstrass" when
+    h_1 + h_{i-1} > 2 h_2 and 2 ell - s is a gap for every chain sum s
+    (h_1 against every h_v, then h_u + h_{u+1} and 2 h_u for u >= 2).  Also
+    returns whether the chain ran.  It is unsound where a chain sum lands in
+    the guaranteed baseline, so it is a reference here, not a verdict."""
     g, ell = H.genus, H.frobenius
     if g == 0 or ell % 2 == 0 or g - ell // 2 < 4:
         return None, False
@@ -500,18 +498,29 @@ def pairing_by_chain(H):
 
 
 def test_pairing_verdict_matches_chain_reference_exhaustive():
-    # every node to genus 17 in walk order, so each reads its parent's mirror
-    seen = Counter()
-    for H in descendants(NumericalSemigroup(), 17):
-        want, ran = pairing_by_chain(H)
-        assert _pairing_verdict(H) == want, H.gaps
-        seen[want, ran] += 1
-    # both outcomes of the chain occur, so the comparison is not vacuous
-    assert seen[INCONCLUSIVE, True] > 0 and seen[NOT_WEIERSTRASS, True] > 0
+    # every node to genus 19: the verdict keeps each chain verdict that the
+    # brute-force count certifies, drops each that it does not, and gives
+    # no verdict without the count; only pairing-shape nodes are counted
+    outcomes, verdicts = Counter(), Counter()
+    for H in descendants(NumericalSemigroup(), 19):
+        chain, _ = pairing_by_chain(H)
+        verdict = _pairing_verdict(H)
+        if chain is None:
+            assert verdict is None, H.gaps
+            continue
+        g = H.genus
+        certified = len(brute_sums(H.gaps, 2)) > 3 * (g - 1)
+        assert verdict == (NOT_WEIERSTRASS if certified else INCONCLUSIVE), H.gaps
+        outcomes[chain == NOT_WEIERSTRASS, certified] += 1
+        verdicts[g] += certified
+    # 22 sound chain verdicts kept, 111 unsound ones dropped, 27 new
+    assert outcomes[True, True] == 22 and outcomes[True, False] == 111
+    assert outcomes[False, True] == 27
+    assert [verdicts[g] for g in range(15, 20)] == [0, 2, 6, 14, 27]
 
 
 def test_exceptional_gap_count_is_forced_exhaustive():
-    # _pairing_verdict reads i - 1 exceptional gaps without counting them:
+    # symmetry_profile reads i - 1 exceptional gaps without counting them:
     # with last gap ell = 2g - 2i + 1, the g - 1 gaps below ell fill the
     # g - i pairs {k, ell - k}, one at least in each, so exactly i - 1
     # pairs are all gaps, and each has its larger gap in (g - i, ell)
@@ -526,3 +535,16 @@ def test_exceptional_gap_count_is_forced_exhaustive():
         assert len(hs) == i - 1, H.gaps
         shapes += i >= 4
     assert shapes > 0
+
+
+def test_pairing_verdict_reads_the_capped_sumset():
+    # Buchweitz's gaps at g = 10^5, i = 4: the verdict counts the pairwise
+    # sumset, so it is refused before a level is built, as the profile is
+    g, i = 10**5, 4
+    h1 = (3 * g + 5 * i - 20) // 2
+    H = from_gaps([*range(1, g - i + 1), h1 - 3, h1 - 5, h1, 2 * g - 2 * i + 1])
+    assert (H.genus, H.frobenius) == (g, 2 * g - 2 * i + 1)
+    for check in (pairing_obstruction, pairing_rules_out, lambda H: gap_sum_profile(H, 2)):
+        with pytest.raises(CapExceeded, match="sumset work .* exceeds cap"):
+            check(H)
+    assert H._sumsets == ()
