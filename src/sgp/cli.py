@@ -124,8 +124,7 @@ def _build_parser() -> _Parser:
                             help="list the pairwise sums beyond the baseline")
 
     p_family = sub.add_parser("family", help="generate a family instance")
-    p_family.add_argument("name", choices=("buchweitz", "cover", "sharp",
-                                           "extremal", "spurious"))
+    p_family.add_argument("name", choices=tuple(_FAMILY_PARAMS))
     p_family.add_argument("--params", nargs="*", default=[], metavar="k=v")
     p_family.add_argument("--emit", choices=("gaps", "gens"), default="gaps")
     p_family.add_argument("--bump-g", action="store_true", dest="bump_g",
@@ -193,12 +192,22 @@ def _cmd_obstruct(args) -> list[dict[str, Any]]:
     return [out]
 
 
-def _parse_params(tokens: list[str]) -> dict[str, str]:
+# each family's parameter names, in call order; buchweitz's a is optional
+_FAMILY_PARAMS = {"buchweitz": ("g", "i", "a"), "cover": ("htilde", "N", "g", "f"),
+                  "sharp": ("N", "gamma", "g"), "extremal": ("N", "gamma"),
+                  "spurious": ("N", "gamma", "A", "t", "g")}
+
+
+def _parse_params(tokens: list[str], known: tuple[str, ...]) -> dict[str, str]:
     params = {}
     for token in tokens:
         if "=" not in token:
             raise _UsageError(f"params must look like k=v, got {token!r}")
         key, value = token.split("=", 1)
+        if key not in known:
+            raise _UsageError(f"unknown family parameter {key!r}")
+        if key in params:
+            raise _UsageError(f"family parameter {key} given twice")
         params[key] = value
     return params
 
@@ -213,8 +222,8 @@ def _int_param(params: dict[str, str], key: str) -> int:
 
 
 def _cmd_family(args) -> list[dict[str, Any]]:
-    params = _parse_params(args.params)
     name = args.name
+    params = _parse_params(args.params, _FAMILY_PARAMS[name])
     if name == "buchweitz":
         a = _int_param(params, "a") if "a" in params else None
         result = families_mod.buchweitz_family(_int_param(params, "g"),
@@ -231,10 +240,8 @@ def _cmd_family(args) -> list[dict[str, Any]]:
             g += 1
         result = families_mod.cover_family(htilde, n, g, f)
     else:  # superelliptic_<name>, looked up on the module when called
-        keys = {"sharp": ("N", "gamma", "g"), "extremal": ("N", "gamma"),
-                "spurious": ("N", "gamma", "A", "t", "g")}[name]
         result = getattr(families_mod, f"superelliptic_{name}")(
-            *[_int_param(params, key) for key in keys])
+            *[_int_param(params, key) for key in _FAMILY_PARAMS[name]])
     H = result.semigroup
     return [{
         "family": result.family,
@@ -409,15 +416,16 @@ def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
 
 def _cmd_scan(args) -> list[dict[str, Any]]:
     lo, hi = _parse_genus_range(args.genus)
+    # usage errors come before the genus cap, a domain error
+    if args.parallelism < 1:
+        raise _UsageError(f"--parallelism must be at least 1, got {args.parallelism}")
+    predicate = _predicate_fn(args.predicate, args.n)  # fails fast on bad parameters
     raw = os.environ.get("SGP_GENUS_CAP", str(DEFAULT_GENUS_CAP))
     try:
         cap = _ascii_int(raw)
     except ValueError:
         raise _UsageError(f"SGP_GENUS_CAP must be an integer, got {raw!r}")
     shards = core_mod._genus_shards(lo, hi, cap)
-    if args.parallelism < 1:
-        raise _UsageError(f"--parallelism must be at least 1, got {args.parallelism}")
-    predicate = _predicate_fn(args.predicate, args.n)  # fails fast on bad parameters
     workers = min(args.parallelism, os.cpu_count() or 1, len(shards))
     if workers > 1 and hasattr(os, "fork"):
         parts = _fork_shards(shards, lo, predicate, workers)

@@ -99,15 +99,11 @@ def buchweitz_family(g: int, i: int, a: int | None = None) -> FamilyResult:
                          "fails_pair_sum_bound": not profile.passes_bc})
 
 
-def _cover_tables(g: int, N: int, gamma: int, lam: int, u: int, f: int) -> tuple[int, int]:
+def _cover_u_table(N: int, gamma: int, lam: int, u: int) -> int:
+    """U, the lift's members of [1, 2g] at multiples of N or at 2g, by g = lam*N + u."""
     if u == 0:
-        u_table = 2 * lam - gamma
-        v_table = g - 1 - (lam - 1 - gamma) - lam
-    else:
-        u_table = (2 * lam + 1 - gamma) if 2 * u <= N else (2 * lam + 2 - gamma)
-        v_table = (g - 1 - (lam - gamma) - lam) if 2 * u - f < N \
-            else (g - 1 - (lam - gamma) - (lam + 1))
-    return u_table, v_table
+        return 2 * lam - gamma
+    return 2 * lam + 1 - gamma if 2 * u <= N else 2 * lam + 2 - gamma
 
 
 def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyResult:
@@ -115,11 +111,12 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     g with last gap 2g-f, by scaling it by N and reflecting the scaled
     complement below 2g-f.
 
-    Write g = lam*N + u.  When N < 2u < N+f the reflected set has one
-    element too many and the biggest integer <= (2g-f)/2 is removed (the
-    second branch); the branch is decided by the direct element count and
-    cross-checked against that inequality.  Tuples with 2g-f divisible by
-    N are rejected rather than silently bumping g.
+    The reflected set has g + f - 1 members in [1, 2g], and that count alone
+    decides the branch: at f = 1 it is the lift (cover_h1); at f = 2 the
+    biggest integer <= (2g-f)/2 is removed (cover_h2).  Which f - 1 members
+    to remove for f >= 3 is open, so those tuples raise ClaimFailed on
+    element_count_up_to_2g.  Tuples with 2g-f divisible by N are rejected
+    rather than silently bumping g.
     """
     _require_prime(N)
     gamma = htilde.genus
@@ -150,10 +147,7 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
     # U counts the members of [1, 2g] at multiples of N or at 2g, V the rest
     u_direct = (members & (multiples | 1 << (2 * g))).bit_count()
     v_direct = members.bit_count() - 1 - u_direct
-    # remove the middle element exactly when the reflected set carries one
-    # element too many; by the case tables that happens iff N < 2u < N+f
-    # (the closed left endpoint 2u = N, reachable only for N = 2, leaves
-    # the count at g already, so nothing may be removed there)
+    # one element too many (the f = 2 case): the middle one is removed
     h2_branch = u_direct + v_direct == g + 1
     e = ell // 2
     diagnostics: dict[str, Any] = {
@@ -162,17 +156,14 @@ def cover_family(htilde: NumericalSemigroup, N: int, g: int, f: int) -> FamilyRe
         "removed": e if h2_branch else None,
     }
     sheet = _Claims("cover_family")
-    sheet.check("branch_matches_interval_rule", N < 2 * u < N + f, h2_branch)
     if h2_branch:
         sheet.check("removed_element_was_present", True, members >> e & 1 == 1)
         gap_bits |= 1 << e
     else:
         sheet.check("element_count_up_to_2g", g, u_direct + v_direct)
-    u_table, v_table = _cover_tables(g, N, gamma, lam, u, f)
+    u_table = _cover_u_table(N, gamma, lam, u)
     diagnostics["U_table"] = u_table
-    diagnostics["V_table"] = v_table
     sheet.check("U_matches_case_table", u_table, u_direct)
-    sheet.check("V_matches_case_table", v_table, v_direct)
 
     H = NumericalSemigroup(gap_bits)
     sheet.check("genus", g, H.genus)

@@ -684,6 +684,47 @@ def test_exit_codes(capsys):
         assert json.loads(line)["error"]["name"] == name, argv
 
 
+def test_scan_parallelism_checked_before_genus_cap(capsys):
+    # genus 26 is past the default cap, a domain error; the bad
+    # --parallelism is a usage error and is reported first
+    code, out, err = invoke(capsys, "scan", "--genus", "26", "--parallelism", "0",
+                            "--predicate", "symmetric")
+    assert code == 64 and out == ""
+    assert json.loads(err)["error"] == {
+        "name": "Usage", "message": "--parallelism must be at least 1, got 0"}
+
+
+def test_scan_predicate_checked_before_genus_cap(capsys):
+    code, out, err = invoke(capsys, "scan", "--genus", "0..100000000000",
+                            "--predicate", "nope")
+    assert code == 64 and out == ""
+    assert json.loads(err)["error"] == {
+        "name": "UnknownPredicate", "message": "unknown predicate 'nope'"}
+
+
+def test_family_params_repeated_or_unknown_key(capsys, monkeypatch):
+    for params, message in ((["g=16", "i=4", "g=17"], "family parameter g given twice"),
+                            (["g=16", "i=4", "g=16"], "family parameter g given twice"),
+                            (["g=16", "aa=3", "i=4"], "unknown family parameter 'aa'"),
+                            (["g=16", "i=4", "N=2"], "unknown family parameter 'N'")):
+        code, out, err = invoke(capsys, "family", "buchweitz", "--params", *params)
+        assert code == 64 and out == "", params
+        assert json.loads(err)["error"] == {"name": "Usage", "message": message}
+    code, _, err = invoke(capsys, "family", "extremal", "--params", "N=2", "gamma=1",
+                          "g=9")
+    assert code == 64
+    assert json.loads(err)["error"]["message"] == "unknown family parameter 'g'"
+    # the superelliptic constructors are looked up on the module per call
+    import sgp.families
+    calls = []
+    real = sgp.families.superelliptic_extremal
+    monkeypatch.setattr(sgp.families, "superelliptic_extremal",
+                        lambda *args: calls.append(args) or real(*args))
+    code, out, _ = invoke(capsys, "family", "extremal", "--params", "gamma=1", "N=2")
+    assert code == 0 and calls == [(2, 1)]
+    assert json.loads(out)["semigroup"] == "gaps:1,2,3,5,6,9,10,13,17"
+
+
 def test_text_mode_contains_all_fields(capsys):
     code, out, _ = invoke(capsys, "--output", "text", "classify", "gens:4,7",
                           "--N", "2")

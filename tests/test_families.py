@@ -7,12 +7,12 @@ import time
 import pytest
 
 from sgp.bounds import rho3
-from sgp.classify import _require_prime, project_by_n, type_verdict
-from sgp.core import (NumericalSemigroup, format_semigroup, from_gaps,
+from sgp.classify import _require_prime, project_by_n, type_test, type_verdict
+from sgp.core import (NumericalSemigroup, descendants, format_semigroup, from_gaps,
                       from_generators, natural_gamma)
 from sgp.errors import (CapExceeded, ClaimFailed, NotPrime, ParityViolation,
                         PreconditionViolated, RangeViolation)
-from sgp.families import (FamilyResult, _Claims, _cover_tables,
+from sgp.families import (FamilyResult, _Claims, _cover_u_table,
                           buchweitz_family, cover_family,
                           superelliptic_extremal, superelliptic_sharp,
                           superelliptic_spurious)
@@ -115,7 +115,7 @@ class TestCoverFamily:
 
     def test_edge_n2_odd_genus_stays_first_branch(self):
         # 2u = N here; the reflected set already has exactly g elements,
-        # so nothing may be removed despite the closed-interval reading
+        # so nothing is removed
         r = cover_family(from_generators([2, 3]), 2, 21, 1)
         assert r.family == "cover_h1"
         assert r.semigroup.genus == 21
@@ -135,18 +135,42 @@ class TestCoverFamily:
             cover_family(Ht, 4, 50, 1)
 
     def test_unsafe_f_rejected(self):
-        # tail elements 2g-j (0 < j < f) must be multiples of N; otherwise
-        # the reflected set miscounts and the claims abort the build
-        with pytest.raises(ClaimFailed):
-            cover_family(from_generators([2, 3]), 3, 27, 2)
-        with pytest.raises(ClaimFailed):
-            cover_family(from_generators([2, 3]), 5, 83, 3)
+        # the reflected set has f - 1 elements too many: at f = 2 the middle
+        # one goes and the lift is certified, at f = 3 the count aborts
+        Ht = from_generators([2, 3])
+        r = cover_family(Ht, 3, 27, 2)
+        H = r.semigroup
+        assert r.family == "cover_h2" and claims_hold(r)
+        assert (H.genus, H.frobenius) == (27, 52)
+        assert type_verdict(H, 3, 1).is_type
+        assert project_by_n(H, 3, 1) == Ht
+        with pytest.raises(ClaimFailed, match="element_count_up_to_2g expected 83, got 85"):
+            cover_family(Ht, 5, 83, 3)
+
+
+def reference_counts(htilde, N, g, f):
+    """H1 read one integer at a time: the scaled set N*htilde and its
+    reflection ell - r (r <= g - 1) tested per integer.  Returns the
+    membership test and U and V counted over [1, 2g]."""
+    ell = 2 * g - f
+
+    def in_scaled(x):
+        return x % N == 0 and (x // N) in htilde
+
+    def in_h1(x):
+        if x > ell or in_scaled(x):
+            return True
+        r = ell - x
+        return r <= g - 1 and not in_scaled(r)
+
+    u_direct = sum(1 for h in range(1, 2 * g + 1)
+                   if (h == 2 * g or h % N == 0) and in_h1(h))
+    v_direct = sum(1 for h in range(1, 2 * g) if h % N != 0 and in_h1(h))
+    return in_h1, u_direct, v_direct
 
 
 def reference_cover_family(htilde, N, g, f):
-    """cover_family with H1 read one integer at a time: the scaled set
-    N*htilde and its reflection ell - r (r <= g - 1) tested per integer,
-    U and V counted over [1, 2g]."""
+    """cover_family on reference_counts."""
     _require_prime(N)
     gamma = htilde.genus
     if g <= rho3(N, gamma):
@@ -162,36 +186,22 @@ def reference_cover_family(htilde, N, g, f):
     if ell % N == 0:
         raise PreconditionViolated("2g - f must not be divisible by N")
 
-    def in_scaled(x):
-        return x % N == 0 and (x // N) in htilde
-
-    def in_h1(x):
-        if x > ell or in_scaled(x):
-            return True
-        r = ell - x
-        return r <= g - 1 and not in_scaled(r)
-
+    in_h1, u_direct, v_direct = reference_counts(htilde, N, g, f)
     gaps = [x for x in range(1, ell + 1) if not in_h1(x)]
-    u_direct = sum(1 for h in range(1, 2 * g + 1)
-                   if (h == 2 * g or h % N == 0) and in_h1(h))
-    v_direct = sum(1 for h in range(1, 2 * g) if h % N != 0 and in_h1(h))
     h2_branch = u_direct + v_direct == g + 1
     e = ell // 2
     diagnostics = {"branch": "H2" if h2_branch else "H1",
                    "lambda": lam, "u": u, "U": u_direct, "V": v_direct,
                    "removed": e if h2_branch else None}
     sheet = _Claims("cover_family")
-    sheet.check("branch_matches_interval_rule", N < 2 * u < N + f, h2_branch)
     if h2_branch:
         sheet.check("removed_element_was_present", True, in_h1(e) and e <= ell)
         gaps.append(e)
     else:
         sheet.check("element_count_up_to_2g", g, u_direct + v_direct)
-    u_table, v_table = _cover_tables(g, N, gamma, lam, u, f)
+    u_table = _cover_u_table(N, gamma, lam, u)
     diagnostics["U_table"] = u_table
-    diagnostics["V_table"] = v_table
     sheet.check("U_matches_case_table", u_table, u_direct)
-    sheet.check("V_matches_case_table", v_table, v_direct)
     H = NumericalSemigroup(gaps)
     sheet.check("genus", g, H.genus)
     sheet.check("last_gap", ell, H.frobenius)
@@ -213,7 +223,7 @@ def _result_or_error(fn, *args):
 def test_cover_family_matches_reference_grid():
     # every tuple from just below rho3 up, with f past its allowed range:
     # the result or the exception, claims and diagnostics included, is the
-    # reference's, the known f >= 2 ClaimFailed cases among them
+    # reference's, the f >= 3 ClaimFailed cases among them
     tuples = raised = 0
     for gens in ([2, 3], [2, 5], [3, 4, 5], [3, 5, 7], [2, 7], [3, 4], [1]):
         htilde = from_generators(gens)
@@ -226,7 +236,67 @@ def test_cover_family_matches_reference_grid():
                         (gens, N, g, f)
                     tuples += 1
                     raised += isinstance(want[0], type)
-    assert (tuples, raised) == (3913, 3409)
+    assert (tuples, raised) == (3913, 3143)
+
+
+COVER_BASES = ([1], [2, 3], [2, 5], [3, 4, 5], [3, 5, 7], [4, 5, 6, 7], [2, 7], [3, 4])
+
+
+def test_cover_family_lifts_by_element_count():
+    # every admissible tuple: the reflected set has f - 1 elements too many
+    # in [1, 2g] and the U table is right.  f = 1 and f = 2 give certified
+    # lifts; f >= 3 fails the count.  576 of the f = 2 lifts lie outside
+    # N < 2u < N + f, the interval rule that refused them before
+    built = {1: 0, 2: 0}
+    refused = outside_interval = 0
+    for gens in COVER_BASES:
+        htilde = from_generators(gens)
+        gamma = htilde.genus
+        for N in (2, 3, 5, 7, 11):
+            lo = rho3(N, gamma)
+            for g in range(lo + 1, lo + 4 * N + 1):
+                lam, u = divmod(g, N)
+                for f in range(1, (u or N - 1) + 1):
+                    if (2 * g - f) % N == 0:
+                        continue
+                    _, u_ref, v_ref = reference_counts(htilde, N, g, f)
+                    assert u_ref + v_ref == g + f - 1, (gens, N, g, f)
+                    assert _cover_u_table(N, gamma, lam, u) == u_ref, (gens, N, g, f)
+                    if f >= 3:
+                        with pytest.raises(ClaimFailed, match="element_count_up_to_2g "
+                                           f"expected {g}, got {g + f - 1}$"):
+                            cover_family(htilde, N, g, f)
+                        refused += 1
+                        continue
+                    r = cover_family(htilde, N, g, f)
+                    H = r.semigroup
+                    assert claims_hold(r)
+                    assert r.family == ("cover_h1", "cover_h2")[f - 1]
+                    assert (H.genus, H.frobenius) == (g, 2 * g - f)
+                    assert type_verdict(H, N, gamma).is_type
+                    assert project_by_n(H, N, gamma) == htilde
+                    assert r.diagnostics["U"] == r.diagnostics["U_table"] == u_ref
+                    built[f] += 1
+                    outside_interval += f == 2 and not N < 2 * u < N + f
+    assert (built[1], built[2], refused, outside_interval) == (768, 704, 1792, 576)
+
+
+def test_cover_f2_is_the_unique_type_target():
+    # the genus tree to genus 19 holds one type-(3, 0) semigroup of genus g
+    # with last gap 2g - 2 for each g that admits f = 2, and the lift of the
+    # naturals is that one
+    is_type = type_test(3, 0)
+    targets: dict[int, list] = {}
+    nodes = 0
+    for H in descendants(NumericalSemigroup(), 19):
+        nodes += 1
+        if H.genus >= 2 and H.frobenius == 2 * H.genus - 2 and is_type(H):
+            targets.setdefault(H.genus, []).append(H)
+    assert nodes == 55_746
+    naturals = from_generators([1])
+    for g in (11, 12, 14, 15, 17, 18):
+        assert targets[g] == [cover_family(naturals, 3, g, 2).semigroup], g
+    assert targets[12] == [from_generators([3, 14, 25])]
 
 
 class TestSuperellipticSharp:
