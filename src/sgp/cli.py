@@ -1,22 +1,23 @@
 """Command-line front end.
 
-Verbs: info, classify, bounds, obstruct, family, scan, project.  Output is
-JSON by default (--output text renders the same fields as key: value
-lines).  Exit codes: 0 success, 2 domain/precondition failures (structured
-error on stdout), 64 usage errors, 141 when stdout is closed before the
-output is written (as a shell reports a process killed by SIGPIPE).
+Verbs: info, classify, bounds, obstruct, family, scan, project.  Output is JSON
+(--output text, before the verb, renders it as key: value lines).  After the
+verb, --opt value or --opt=value go anywhere, the last repeat wins, and "-"
+then digits is a number; -h/--help prints usage.  Prefixes (--pred) and "--"
+are refused.  Exit codes: 0 success, 2 domain/precondition failures
+(structured error on stdout), 64 usage errors, 141 when stdout is closed
+before the output is written (as a shell reports a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import json
 import os
 import pickle
 import signal
 import sys
+from types import SimpleNamespace
 from typing import Any
 
 from . import bounds as bounds_mod
@@ -52,12 +53,14 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-_ascii_int.__name__ = "int"  # argparse reports "invalid int value: ..."
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse default exits with code 2
-        raise _UsageError(message)
+def _value(name: str, kind, text: str):
+    """``text`` read by a kind of ``_VERBS``; a refusal names ``name``."""
+    try:
+        if isinstance(kind, tuple) and text not in kind:
+            raise ValueError(f"invalid choice {text!r}")
+        return text if isinstance(kind, tuple) else [text] if kind is list else kind(text)
+    except ValueError as exc:
+        raise _UsageError(f"{name}: {exc}")
 
 
 def _gap_list(gaps: tuple[int, ...], genus: int) -> dict[str, Any]:
@@ -93,56 +96,6 @@ def _render_text(payload: Any, indent: str = "") -> str:
     else:
         lines.append(f"{indent}{json.dumps(payload)}")
     return "\n".join(lines)
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: every ``run`` reuses it,
-    and each ``parse_args`` fills a fresh namespace."""
-    parser = _Parser(prog="sgp", description=__doc__)
-    parser.add_argument("--output", choices=("json", "text"), default="json")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_info = sub.add_parser("info", help="summarize a semigroup")
-    p_info.add_argument("spec")
-
-    p_classify = sub.add_parser("classify", help="type-(N, gamma) verdict")
-    p_classify.add_argument("spec")
-    p_classify.add_argument("--N", type=_ascii_int, required=True)
-    p_classify.add_argument("--gamma", type=_ascii_int, default=None,
-                            help="defaults to the natural gamma for N")
-
-    p_bounds = sub.add_parser("bounds", help="evaluate a named bound")
-    p_bounds.add_argument("action", choices=("eval",))
-    p_bounds.add_argument("name")
-    p_bounds.add_argument("args", nargs="*")
-
-    p_obstruct = sub.add_parser("obstruct", help="gap-sum profile")
-    p_obstruct.add_argument("spec")
-    p_obstruct.add_argument("--n", type=_ascii_int, default=2)
-    p_obstruct.add_argument("--explain", action="store_true",
-                            help="list the pairwise sums beyond the baseline")
-
-    p_family = sub.add_parser("family", help="generate a family instance")
-    p_family.add_argument("name", choices=tuple(_FAMILY_PARAMS))
-    p_family.add_argument("--params", nargs="*", default=[], metavar="k=v")
-    p_family.add_argument("--emit", choices=("gaps", "gens"), default="gaps")
-    p_family.add_argument("--bump-g", action="store_true", dest="bump_g",
-                          help="cover only: retry with g+1 when 2g-f is divisible by N")
-
-    p_scan = sub.add_parser("scan", help="stream semigroups matching a predicate")
-    p_scan.add_argument("--genus", required=True,
-                        help="a single genus G or an inclusive range LO..HI")
-    p_scan.add_argument("--predicate", required=True,
-                        help="bc_fail | type:N,GAMMA | symmetric | quasi_symmetric | obstruction")
-    p_scan.add_argument("--n", type=_ascii_int, default=2, help="sum length for bc_fail")
-    p_scan.add_argument("--parallelism", type=_ascii_int, default=1)
-
-    p_project = sub.add_parser("project", help="project a type-(N, gamma) semigroup")
-    p_project.add_argument("spec")
-    p_project.add_argument("--N", type=_ascii_int, required=True)
-    p_project.add_argument("--gamma", type=_ascii_int, default=None)
-    return parser
 
 
 def _cmd_info(args) -> list[dict[str, Any]]:
@@ -198,50 +151,39 @@ _FAMILY_PARAMS = {"buchweitz": ("g", "i", "a"), "cover": ("htilde", "N", "g", "f
                   "spurious": ("N", "gamma", "A", "t", "g")}
 
 
-def _parse_params(tokens: list[str], known: tuple[str, ...]) -> dict[str, str]:
-    params = {}
+def _family_params(name: str, tokens: list[str]) -> list:
+    """The ``k=v`` tokens as the family's arguments, in call order; htilde is a spec."""
+    params: dict[str, str] = {}
     for token in tokens:
         if "=" not in token:
             raise _UsageError(f"params must look like k=v, got {token!r}")
         key, value = token.split("=", 1)
-        if key not in known:
+        if key not in _FAMILY_PARAMS[name]:
             raise _UsageError(f"unknown family parameter {key!r}")
         if key in params:
             raise _UsageError(f"family parameter {key} given twice")
         params[key] = value
-    return params
-
-
-def _int_param(params: dict[str, str], key: str) -> int:
-    if key not in params:
-        raise _UsageError(f"missing family parameter {key}")
-    try:
-        return _ascii_int(params[key])
-    except ValueError:
-        raise _UsageError(f"parameter {key} must be an integer, got {params[key]!r}")
+    values = []
+    for key in _FAMILY_PARAMS[name]:
+        if key in params:
+            kind = parse_semigroup if key == "htilde" else _ascii_int
+            values.append(_value(f"family parameter {key}", kind, params[key]))
+        elif key != "a":
+            raise _UsageError(f"missing family parameter {key}")
+    return values
 
 
 def _cmd_family(args) -> list[dict[str, Any]]:
     name = args.name
-    params = _parse_params(args.params, _FAMILY_PARAMS[name])
-    if name == "buchweitz":
-        a = _int_param(params, "a") if "a" in params else None
-        result = families_mod.buchweitz_family(_int_param(params, "g"),
-                                               _int_param(params, "i"), a)
-    elif name == "cover":
-        if "htilde" not in params:
-            raise _UsageError("cover needs htilde=<semigroup spec>")
-        htilde = parse_semigroup(params["htilde"])
-        n = _int_param(params, "N")
-        g = _int_param(params, "g")
-        f = _int_param(params, "f")
+    params = _family_params(name, args.params)
+    if name == "cover":
+        _, n, g, f = params
         # N = 0 divides nothing here; cover_family rejects it as not prime
         if args.bump_g and n and (2 * g - f) % n == 0:
-            g += 1
-        result = families_mod.cover_family(htilde, n, g, f)
-    else:  # superelliptic_<name>, looked up on the module when called
-        result = getattr(families_mod, f"superelliptic_{name}")(
-            *[_int_param(params, key) for key in _FAMILY_PARAMS[name]])
+            params[2] += 1
+    # the constructor is looked up on the module when called
+    result = getattr(families_mod, f"{name}_family" if name in ("buchweitz", "cover")
+                     else f"superelliptic_{name}")(*params)
     H = result.semigroup
     return [{
         "family": result.family,
@@ -420,11 +362,7 @@ def _cmd_scan(args) -> list[dict[str, Any]]:
     if args.parallelism < 1:
         raise _UsageError(f"--parallelism must be at least 1, got {args.parallelism}")
     predicate = _predicate_fn(args.predicate, args.n)  # fails fast on bad parameters
-    raw = os.environ.get("SGP_GENUS_CAP", str(DEFAULT_GENUS_CAP))
-    try:
-        cap = _ascii_int(raw)
-    except ValueError:
-        raise _UsageError(f"SGP_GENUS_CAP must be an integer, got {raw!r}")
+    cap = _value("SGP_GENUS_CAP", _ascii_int, os.getenv("SGP_GENUS_CAP", str(DEFAULT_GENUS_CAP)))
     shards = core_mod._genus_shards(lo, hi, cap)
     workers = min(args.parallelism, os.cpu_count() or 1, len(shards))
     if workers > 1 and hasattr(os, "fork"):
@@ -446,18 +384,80 @@ def _cmd_project(args) -> list[dict[str, Any]]:
     return [_semigroup_json(project_by_n(H, args.N, gamma))]
 
 
-# each verb's handler returns the payloads it prints, in order
-_VERBS = {"info": _cmd_info, "classify": _cmd_classify, "bounds": _cmd_bounds,
-          "obstruct": _cmd_obstruct, "family": _cmd_family, "scan": _cmd_scan,
-          "project": _cmd_project}
+# each verb's handler, which returns the payloads it prints, and its arguments
+# {name: (kind, default)}: positionals in order, then --options; ... if required.
+# A kind converts, or is a tuple of choices, bool (a flag) or list (a run of values)
+_SPEC_N_GAMMA = {"spec": (str, ...), "--N": (_ascii_int, ...), "--gamma": (_ascii_int, None)}
+_VERBS = {
+    "info": (_cmd_info, {"spec": (str, ...)}),
+    "classify": (_cmd_classify, _SPEC_N_GAMMA),
+    "bounds": (_cmd_bounds, {"action": (("eval",), ...), "name": (str, ...), "args": (list, [])}),
+    "obstruct": (_cmd_obstruct, {"spec": (str, ...), "--n": (_ascii_int, 2),
+                                 "--explain": (bool, False)}),
+    "family": (_cmd_family, {"name": (tuple(_FAMILY_PARAMS), ...), "--params": (list, []),
+                             "--emit": (("gaps", "gens"), "gaps"), "--bump-g": (bool, False)}),
+    "scan": (_cmd_scan, {"--genus": (str, ...), "--predicate": (str, ...),
+                         "--n": (_ascii_int, 2), "--parallelism": (_ascii_int, 1)}),
+    "project": (_cmd_project, _SPEC_N_GAMMA),
+}
+
+
+def _is_option(token: str) -> bool:
+    return len(token) > 1 and token[0] == "-" and not token[1:].isdecimal()
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv``, which holds no -h or --help, in one walk against
+    ``_VERBS``: the values by name."""
+    values: dict[str, Any] = {"--output": "json"}
+    spec = {"verb": (tuple(_VERBS), ...), "--output": (("json", "text"), "json")}
+    gather = None  # a list argument's values, which take the positionals that follow
+    for token in (tokens := iter(argv)):
+        opt, eq, text = token.partition("=")
+        name = next((key for key in spec if key[0] != "-" and key not in values), None)
+        if not _is_option(token) and gather is not None:
+            gather.append(token)
+        elif not _is_option(token) and name:
+            values[name] = _value(name, spec[name][0], token)
+            gather = values[name] if spec[name][0] is list else None
+            if name == "verb":
+                spec = _VERBS[token][1]
+        elif opt not in spec or opt[0] != "-" or (spec[opt][0] is bool and eq):
+            raise _UsageError(f"unrecognized argument {token!r}")
+        else:
+            kind, gather = spec[opt][0], None
+            if kind is list and not eq:
+                values[opt] = gather = []
+            elif kind is bool:
+                values[opt] = True
+            elif not eq and _is_option(text := next(tokens, "--")):
+                raise _UsageError(f"{opt}: expected one argument")
+            else:
+                values[opt] = _value(opt, kind, text)
+    missing = [key for key, (kind, default) in spec.items()
+               if values.setdefault(key, [] if kind is list else default) is ...]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**{key.lstrip("-").replace("-", "_"): v for key, v in values.items()})
+
+
+def _usage() -> str:
+    """The module docstring and each verb's usage line, read from ``_VERBS``."""
+    return "\n".join([f"usage: sgp [-h] [--output json|text] VERB ...\n{__doc__ or ''}"] + [
+        f"usage: sgp {verb} " + " ".join(key if default is ... else f"[{key}]"
+                                         for key, (_, default) in spec.items())
+        for verb, (_, spec) in _VERBS.items()])
 
 
 def run(argv: list[str]) -> int:
     """Run one command line and return its exit code; safe to call many
     times in one process."""
     try:
-        args = _build_parser().parse_args(argv)
-        for payload in _VERBS[args.verb](args):
+        if "-h" in argv or "--help" in argv:
+            print(_usage())
+            return EXIT_OK
+        args = _parse(argv)
+        for payload in _VERBS[args.verb][0](args):
             print(json.dumps(payload) if args.output == "json" else _render_text(payload))
         return EXIT_OK
     except (_UsageError, ValueError, SemigroupError) as exc:

@@ -658,7 +658,7 @@ def test_info_and_project_decode_only_printed_gaps(capsys, monkeypatch):
 def test_exit_codes(capsys):
     # argv, exit code, stream that carries the JSON error line, error.name
     cases = [
-        (["classify", "gens:4,7"], 64, "err", "Usage"),  # argparse: no --N
+        (["classify", "gens:4,7"], 64, "err", "Usage"),  # no --N
         (["info", "gens:4, 7"], 64, "err", "Usage"),  # malformed spec
         (["bounds", "eval", "rho3", "x", "1"], 64, "err", "Usage"),
         (["scan", "--genus", "3", "--predicate", "mystery"], 64, "err",
@@ -733,15 +733,14 @@ def test_text_mode_contains_all_fields(capsys):
         assert f"{key}:" in out
 
 
-def test_parser_built_once_per_process(capsys):
-    from sgp.cli import _build_parser
-    _build_parser.cache_clear()
-    for argv in (["info", "gens:2,3"], ["classify", "gens:4,7"], ["nope"],
-                 ["info", "gens:4,6"], ["scan", "--genus", "2", "--predicate", "symmetric"]):
-        run(argv)
-    capsys.readouterr()
-    assert _build_parser.cache_info().misses == 1
-    assert _build_parser.cache_info().hits == 4
+def test_parse_shares_no_state_between_calls():
+    # no parser is built or cached: each call fills fresh values, so a list
+    # that one caller changes is not the next call's default
+    from sgp.cli import _parse
+    _parse(["family", "buchweitz"]).params.append("g=16")
+    _parse(["bounds", "eval", "rho3"]).args.append("2")
+    assert _parse(["family", "buchweitz"]).params == []
+    assert _parse(["bounds", "eval", "rho3"]).args == []
 
 
 def test_reused_parser_keeps_no_state(capsys):
