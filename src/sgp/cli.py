@@ -24,7 +24,7 @@ from . import bounds as bounds_mod
 from . import core as core_mod
 from . import families as families_mod
 from .classify import project_by_n, type_test, type_verdict
-from .core import (DEFAULT_GENUS_CAP, NumericalSemigroup, descendants,
+from .core import (DEFAULT_GENUS_CAP, SUMSET_CACHED_LEVELS, NumericalSemigroup, descendants,
                    format_semigroup, natural_gamma, parse_semigroup)
 from .errors import SemigroupError, UnknownPredicate, WorkerFailed
 from .obstruction import (bc_test, gap_sum_profile, pair_sum_extras,
@@ -218,6 +218,7 @@ def _parse_genus_range(text: str) -> tuple[int, int]:
 
 
 def _predicate_fn(spec: str, n: int):
+    """The scan predicate ``spec`` names, and the gap sumset levels it reads."""
     if spec.startswith("type:"):
         body = spec[5:].split(",")
         if len(body) != 2:
@@ -226,15 +227,15 @@ def _predicate_fn(spec: str, n: int):
             type_n, type_gamma = _ascii_int(body[0]), _ascii_int(body[1])
         except ValueError:
             raise UnknownPredicate(f"bad type predicate {spec!r}")
-        return type_test(type_n, type_gamma)
+        return type_test(type_n, type_gamma), 0
     if spec == "bc_fail":
-        return bc_test(n)
+        return bc_test(n), min(n, SUMSET_CACHED_LEVELS)
     if spec == "symmetric":
-        return lambda H: H.genus >= 1 and H.frobenius == 2 * H.genus - 1
+        return (lambda H: H.genus >= 1 and H.frobenius == 2 * H.genus - 1), 0
     if spec == "quasi_symmetric":
-        return lambda H: H.genus >= 1 and H.frobenius == 2 * H.genus - 2
+        return (lambda H: H.genus >= 1 and H.frobenius == 2 * H.genus - 2), 0
     if spec == "obstruction":
-        return pairing_rules_out
+        return pairing_rules_out, 2
     raise UnknownPredicate(f"unknown predicate {spec!r}")
 
 
@@ -361,9 +362,9 @@ def _cmd_scan(args) -> list[dict[str, Any]]:
     # usage errors come before the genus cap, a domain error
     if args.parallelism < 1:
         raise _UsageError(f"--parallelism must be at least 1, got {args.parallelism}")
-    predicate = _predicate_fn(args.predicate, args.n)  # fails fast on bad parameters
+    predicate, levels = _predicate_fn(args.predicate, args.n)  # fails fast on bad parameters
     cap = _value("SGP_GENUS_CAP", _ascii_int, os.getenv("SGP_GENUS_CAP", str(DEFAULT_GENUS_CAP)))
-    shards = core_mod._genus_shards(lo, hi, cap)
+    shards = core_mod._genus_shards(lo, hi, cap, levels)
     workers = min(args.parallelism, os.cpu_count() or 1, len(shards))
     if workers > 1 and hasattr(os, "fork"):
         parts = _fork_shards(shards, lo, predicate, workers)

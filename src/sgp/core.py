@@ -163,17 +163,15 @@ class NumericalSemigroup:
         doubling, serves them all (``_progressions``): a level costs one
         shift-or per class and per doubling, never more than one per gap.
         The first SUMSET_CACHED_LEVELS levels are kept in ``_sumsets``, so
-        a large n holds no more than that many bitsets; a tree child still
-        linked to its parent carries those down from it instead
-        (``_carried_sumsets``).  Only the levels still to build count
-        against WORK_CAP, so carried ones cost nothing, and so does the
-        first, the gaps themselves.
+        a large n holds no more than that many bitsets; a tree child has
+        those its parent had when it was built (``tree_children``), and
+        builds the rest here, as any semigroup does.  Only the levels still
+        to build count against WORK_CAP, so carried ones cost nothing, and
+        so does the first, the gaps themselves.
         """
         sums = self._sumsets
         if n <= len(sums):
             return sums[n - 1]
-        if self._parent is not None and n <= SUMSET_CACHED_LEVELS:
-            return self._carried_sumsets(n)[n - 1]
         m = self.multiplicity
         ops = _progressions(_bit_positions(_apery_bits(self, m))[1:], m)
         _check_sumset_work(len(ops), self.frobenius, n, len(sums))
@@ -193,32 +191,13 @@ class NumericalSemigroup:
         self._sumsets = tuple(levels)
         return acc
 
-    def _carried_sumsets(self, n: int) -> tuple[int, ...]:
-        """A tree child's kept levels, at least n of them, carried down from
-        the nearest ancestor that keeps n or has no parent, which builds
-        them: each node on the way derives its own from its parent's, as
-        ``tree_children`` does, so in a scan only the root builds any."""
-        chain = []
-        node = self
-        while len(node._sumsets) < n and node._parent is not None:
-            chain.append(node)
-            node = node._parent
-        node._sumset(n)
-        for node in reversed(chain):
-            prev, carried = 1, []
-            for s in node._parent._sumsets:
-                prev = s | prev << node.frobenius
-                carried.append(prev)
-            node._sumsets = tuple(carried)
-        return self._sumsets
-
     def _mirror_bits(self) -> int:
         """Bit j set iff F - j is an element, for 0 <= j <= F; on first use,
         a tree child H minus x shifts its parent's mirror, if set, by d = x -
-        F(H) and fills bits 1 .. d - 1 (the elements F(H) + 1 .. x - 1).  An
-        ordinary semigroup has only 0 up to F; any other reverses its bits
-        once (``_mirror``).  Nothing walks up the tree: a walk reads a node
-        where it or its parent is expanded, so the parent's mirror is set."""
+        F(H) and fills bits 1 .. d - 1 (the elements F(H) + 1 .. x - 1); any
+        other semigroup reverses its bits once (``_mirror``).  Nothing walks
+        up the tree: a walk reads a node where it or its parent is expanded,
+        so the parent's mirror is set."""
         rev = self._rev
         if rev is None:
             x = self.frobenius
@@ -226,8 +205,6 @@ class NumericalSemigroup:
             if parent is not None and parent._rev is not None:
                 d = x - parent.frobenius
                 rev = parent._rev << d | (1 << d) - 2
-            elif x == self.genus:
-                rev = 1 << x
             else:
                 rev = _mirror(self._member_bits & ((1 << self.conductor) - 1), x)
             self._rev = rev
@@ -455,8 +432,8 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
     filled with elements up to x + 1 but for x, and its gap tuple is
     decoded from it only when read.  A child keeps a reference to H and
     derives its own effective generators from H's when it is expanded in
-    turn (``_effective_generators``).  Cached gap sumsets S_1 .. S_k carry
-    over as S_j' = S_j | (S_{j-1}' << x), with S_0' = {0}.
+    turn (``_effective_generators``).  The gap sumsets H keeps, S_1 .. S_k,
+    carry over as S_j' = S_j | (S_{j-1}' << x), with S_0' = {0}.
     """
     eff = H._effective_generators()
     genus = H.genus + 1
@@ -505,7 +482,8 @@ def descendants(H: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemi
             stack += kids
 
 
-def _genus_shards(lo: int, hi: int, cap: int) -> list[tuple[NumericalSemigroup, int]]:
+def _genus_shards(lo: int, hi: int, cap: int,
+                  levels: int = 0) -> list[tuple[NumericalSemigroup, int]]:
     """The genus tree to genus hi as shards, each a root and the genus its
     subtree stops at, whose nodes of genus >= lo are each semigroup of genus
     lo..hi once.  Nearly all of the tree hangs below the ordinary semigroups,
@@ -513,7 +491,9 @@ def _genus_shards(lo: int, hi: int, cap: int) -> list[tuple[NumericalSemigroup, 
     a chain node of genus >= lo is a one-node shard, each of its other
     children carries its subtree, and the chain stops at genus max(lo,
     hi - 5), whose node carries its subtree; a deeper chain adds shards
-    faster than it evens them out.  The biggest shards come first.
+    faster than it evens them out.  The biggest shards come first.  The
+    root, the naturals, keeps ``levels`` empty gap sumsets, which every node
+    carries (``tree_children``), so a scan seeds those it reads.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
@@ -521,6 +501,7 @@ def _genus_shards(lo: int, hi: int, cap: int) -> list[tuple[NumericalSemigroup, 
         raise CapExceeded(f"genus {hi} exceeds cap {cap}")
     shards = []
     H = NumericalSemigroup()
+    H._sumsets = (0,) * levels
     while H.genus < max(lo, hi - 5):
         if H.genus >= lo:
             shards.append((H, H.genus))

@@ -7,8 +7,8 @@ cardinality at most (2n-1)(g-1).  Sumsets are exact int bitsets from
 progressions: the gaps of each residue class modulo the multiplicity form
 one, ending below its Apery element, so a level costs a few shift-ors per
 class instead of one per gap.  The levels stay on the semigroup: a tree
-child derives its own from its parent's with one shift-or per level, so in
-a scan only the root of the tree builds them.  The pairing obstruction
+child derives its own from its parent's with one shift-or per level, and a
+scan seeds the root's, so no node builds them.  The pairing obstruction
 is Buchweitz's count at n = 2 (Buchweitz, thesis, Hannover 1976) on the
 shape last gap 2g-2i+1, i >= 4: there the excess of the pairwise sumset
 over its guaranteed baseline is at least 2i-2 exactly when

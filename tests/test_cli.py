@@ -246,6 +246,26 @@ def test_scan_decodes_gaps_only_for_printed_rows(capsys, monkeypatch):
         assert decoded == sorted(tuple(r["gaps"]) for r in rows[:-1]), predicate
 
 
+def test_scan_builds_no_sumsets(capsys, monkeypatch):
+    # the root is seeded with the levels the predicate reads and every node
+    # carries them from its parent, so no level is built by progressions
+    import sgp.core
+    original = sgp.core._progressions
+    calls = []
+
+    def counting(apery, m):
+        calls.append(m)
+        return original(apery, m)
+
+    monkeypatch.setattr(sgp.core, "_progressions", counting)
+    for predicate in (["bc_fail", "--n", "3"], ["obstruction"]):
+        calls.clear()
+        code, out, _ = invoke(capsys, "scan", "--genus", "12..14",
+                              "--predicate", *predicate, "--parallelism", "1")
+        assert code == 0 and json.loads(out.splitlines()[-1])["scanned"] == 3286, predicate
+        assert calls == [], predicate
+
+
 def test_integer_arguments_are_ascii(capsys, monkeypatch):
     # int() alone reads any script's digits; every integer the CLI reads
     # is an optional '-' and ASCII digits, so these are usage errors
@@ -747,9 +767,9 @@ def test_reused_parser_keeps_no_state(capsys):
     # after each first call in the same process, the second prints what it
     # prints in a fresh one
     pairs = [
-        (["classify", "gens:4,7"], 64, ["info", "gens:4,7"]),  # argparse error
+        (["classify", "gens:4,7"], 64, ["info", "gens:4,7"]),  # usage error
         (["--output", "text", "info", "gens:4,7"], 0, ["info", "gens:4,7"]),
-        # --params defaults to one list object that every parse shares
+        # a list option's values go into a list that no later parse sees
         (["family", "buchweitz", "--params", "g=16", "i=4"], 0, ["family", "buchweitz"]),
     ]
     for first, first_code, second in pairs:

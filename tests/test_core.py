@@ -621,6 +621,13 @@ def _mirror_roots():
             from_generators([7, 9, 10, 11, 12, 13, 15]))
 
 
+def test_mirror_of_ordinary_semigroups():
+    # gaps 1 .. g: the one element up to F is 0, so the reversal leaves 1 << F
+    for g in range(61):
+        H = NumericalSemigroup(range(1, g + 1))
+        assert H._mirror_bits() == _mirror_by_definition(H) == (1 << g) >> (g == 0), g
+
+
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
 def test_carried_mirror_matches_definition_exhaustive(before):
     # each node's mirror read as the walk yields it, before its children are

@@ -79,7 +79,7 @@ def sumset_shell(m, frobenius, built):
     H = object.__new__(NumericalSemigroup)
     H.frobenius, H.conductor = frobenius, frobenius + 1
     H._member_bits = _multiples(m, frobenius // m) | 1 | 2 << frobenius
-    H._sumsets, H._parent = (0,) * max(built, 1), None
+    H._sumsets = (0,) * max(built, 1)
     return H
 
 
@@ -192,14 +192,19 @@ def test_sumsets_match_per_gap_reference_exhaustive():
             assert fresh._sumset(n) == ref[n - 1] == H._sumset(n), (H.gaps, n)
 
 
-@pytest.mark.parametrize("n", [2, 5])
-def test_sumsets_carried_down_a_chain_match_reference(n):
-    # a walk that reads no sumsets until genus 11..13, deepest first: each
-    # node carries its levels down the chain of its unread ancestors
-    nodes = [H for H in descendants(NumericalSemigroup(), 13) if H.genus >= 11]
-    for H in sorted(nodes, key=lambda H: -H.genus):
-        assert H._sumset(n) == sumsets_by_gaps(H, n)[-1], (H.gaps, n)
-        assert H._parent._sumsets, H.gaps
+@pytest.mark.parametrize("k", [2, 5, SUMSET_CACHED_LEVELS])
+def test_sumsets_carried_down_a_chain_match_reference(k):
+    # a walk from the naturals seeded with k empty levels, as a scan seeds
+    # its root: every node holds k levels carried from its parent and reads
+    # nothing else; past the kept levels, level 9 builds on the 8 carried
+    root = NumericalSemigroup()
+    root._sumsets = (0,) * k
+    for H in descendants(root, 12):
+        ref = sumsets_by_gaps(H, SUMSET_CACHED_LEVELS + 1)
+        assert H._sumsets == tuple(ref[:k]), (H.gaps, k)
+        if k == SUMSET_CACHED_LEVELS:
+            assert H._sumset(k + 1) == ref[k], H.gaps
+            assert len(H._sumsets) == k, H.gaps
 
 
 @given(st.lists(st.integers(2, 60), min_size=1, max_size=4), st.integers(2, 5))
@@ -208,7 +213,7 @@ def test_sumsets_match_per_gap_reference_generated(gens, n):
     if math.gcd(*gens) != 1:
         gens.append(gens[0] + 1)
     H = from_generators(gens)
-    early = tree_children(H)  # built before H has levels: they carry later
+    early = tree_children(H)  # built before H has levels: they build their own
     assert H._sumset(n) == sumsets_by_gaps(H, n)[-1], (gens, n)
     for kid in early + tree_children(H):
         assert kid._sumset(n) == sumsets_by_gaps(kid, n)[-1], (gens, n, kid.frobenius)
