@@ -23,7 +23,6 @@ from .families import (Claim, FamilyResult, buchweitz_family, cover_family,
                        superelliptic_extremal, superelliptic_sharp,
                        superelliptic_spurious)
 from .obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, GapSumProfile, bc_test,
-                          gap_sum_profile, pair_sum_extras, pairing_obstruction,
-                          pairing_rules_out)
+                          gap_sum_profile, pair_sum_extras, pairing_obstruction)
 
 __version__ = "0.1.0"

@@ -121,7 +121,7 @@ _EVAL_TABLE = {
     "rho3": (rho3, {"N": 1, "gamma": 0}),
     "rho4": (rho4, {"A": None, "u": 0, "N": 1, "gamma": 0}),
     "rho5": (rho5, {"N": 1, "gamma": 0}),
-    "castelnuovo_c": (castelnuovo_c, {"d": None, "r": None}),
+    "castelnuovo_c": (castelnuovo_c, {"d": 1, "r": 2}),
     "compositum": (compositum_bound, {"N1": 1, "g1": 0, "N2": 1, "g2": 0}),
     "jenkins": (jenkins_bound, {"m": None, "n": None}),
 }

@@ -27,8 +27,7 @@ from .classify import project_by_n, type_test, type_verdict
 from .core import (DEFAULT_GENUS_CAP, SUMSET_CACHED_LEVELS, NumericalSemigroup, descendants,
                    format_semigroup, natural_gamma, parse_semigroup)
 from .errors import SemigroupError, UnknownPredicate, WorkerFailed
-from .obstruction import (bc_test, gap_sum_profile, pair_sum_extras,
-                          pairing_rules_out)
+from .obstruction import bc_test, gap_sum_profile, pair_sum_extras
 
 GAP_LIST_CAP = 512
 EXIT_OK = 0
@@ -228,14 +227,14 @@ def _predicate_fn(spec: str, n: int):
         except ValueError:
             raise UnknownPredicate(f"bad type predicate {spec!r}")
         return type_test(type_n, type_gamma), 0
+    if spec == "obstruction":  # the pairing obstruction is Buchweitz's count at n = 2
+        spec, n = "bc_fail", 2
     if spec == "bc_fail":
         return bc_test(n), min(n, SUMSET_CACHED_LEVELS)
     if spec == "symmetric":
         return (lambda H: H.genus >= 1 and H.frobenius == 2 * H.genus - 1), 0
     if spec == "quasi_symmetric":
         return (lambda H: H.genus >= 1 and H.frobenius == 2 * H.genus - 2), 0
-    if spec == "obstruction":
-        return pairing_rules_out, 2
     raise UnknownPredicate(f"unknown predicate {spec!r}")
 
 

@@ -65,11 +65,6 @@ class NotCoprime(SemigroupError):
     """Two integers required to be coprime are not."""
 
 
-class WrongShape(SemigroupError):
-    """The semigroup does not have the last-gap shape the pairing
-    obstruction needs."""
-
-
 class ParityViolation(SemigroupError):
     """A parity condition on family parameters fails."""
 

@@ -9,10 +9,8 @@ one, ending below its Apery element, so a level costs a few shift-ors per
 class instead of one per gap.  The levels stay on the semigroup: a tree
 child derives its own from its parent's with one shift-or per level, and a
 scan seeds the root's, so no node builds them.  The pairing obstruction
-is Buchweitz's count at n = 2 (Buchweitz, thesis, Hannover 1976) on the
-shape last gap 2g-2i+1, i >= 4: there the excess of the pairwise sumset
-over its guaranteed baseline is at least 2i-2 exactly when
-#G_2 > 3(g-1).
+is Buchweitz's count at n = 2 (Buchweitz, thesis, Hannover 1976):
+#G_2 > 3(g-1), which no Weierstrass semigroup shows.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import NumericalSemigroup, _bit_positions
-from .errors import GenusTooSmall, WrongShape
+from .errors import GenusTooSmall
 
 NOT_WEIERSTRASS = "not_weierstrass"
 INCONCLUSIVE = "inconclusive"
@@ -78,9 +76,6 @@ def bc_test(n: int) -> Callable[[NumericalSemigroup], bool]:
     return fails
 
 
-_fails_pairs = bc_test(2)
-
-
 def gap_sum_profile(H: NumericalSemigroup, n: int) -> GapSumProfile:
     """Exact n-fold sumset of the gap set, with repetition allowed, counted
     by popcount as bc_test counts it."""
@@ -103,36 +98,10 @@ def pair_sum_extras(H: NumericalSemigroup) -> tuple[int, ...]:
     return _bit_positions(H._sumset(2) & ~baseline)
 
 
-def _pairing_verdict(H: NumericalSemigroup) -> str | None:
-    """pairing_obstruction(H), or None where it raises WrongShape, which
-    depends only on g and the last gap."""
-    g = H.genus
-    ell = H.frobenius
-    if g == 0 or ell % 2 == 0 or g - ell // 2 < 4:  # ell = 2g - 2i + 1
-        return None
-    return NOT_WEIERSTRASS if _fails_pairs(H) else INCONCLUSIVE
-
-
 def pairing_obstruction(H: NumericalSemigroup) -> str:
-    """Rule H out as a Weierstrass semigroup by its pairwise gap sums.
-
-    Requires last gap 2g-2i+1 with i >= 4.  The pairwise sumset G_2 then
-    holds the baseline {2, ..., last_gap} and last_gap + every gap, 3g-2i
-    sums, and H is ruled out when its excess over them reaches 2i-2: that
-    is #G_2 > 3(g-1), the failure of Buchweitz's bound at n = 2 (Buchweitz,
-    thesis, Hannover 1976), which no Weierstrass semigroup shows.  Returns
-    "not_weierstrass" exactly when the count certifies it and
-    "inconclusive" otherwise; raises WrongShape on any other shape.  The
-    count reads the sumset (``_sumset(2)``), so a sumset past the work cap
-    raises CapExceeded, as gap_sum_profile(H, 2) does.
-    """
-    verdict = _pairing_verdict(H)
-    if verdict is None:
-        raise WrongShape("need last gap 2g-2i+1 with i >= 4")
-    return verdict
-
-
-def pairing_rules_out(H: NumericalSemigroup) -> bool:
-    """``pairing_obstruction(H) == "not_weierstrass"``, and False, not
-    WrongShape, on any other shape."""
-    return _pairing_verdict(H) == NOT_WEIERSTRASS
+    """Rule H out as a Weierstrass semigroup by its pairwise gap sums:
+    "not_weierstrass" when #G_2 > 3(g-1), the failure of Buchweitz's bound
+    at n = 2, and "inconclusive" otherwise.  It is gap_sum_profile(H, 2)
+    read once, with its guards: GenusTooSmall below genus 2, and
+    CapExceeded for a sumset past the work cap."""
+    return INCONCLUSIVE if gap_sum_profile(H, 2).passes_bc else NOT_WEIERSTRASS

@@ -617,6 +617,25 @@ def test_scan_obstruction_predicate(capsys):
     assert tuple(list(range(1, 13)) + [19, 21, 24, 25]) in gaps
 
 
+def test_scan_obstruction_rows_are_bc_fail_rows(capsys):
+    # the pairing obstruction is Buchweitz's count at n = 2 on every node,
+    # so it prints the bc_fail --n 2 rows, with the five of even last gap
+    # that a last-gap shape check (odd, 2g - 2i + 1 with i >= 4) would drop
+    code, out, _ = invoke(capsys, "scan", "--genus", "18..19", "--predicate", "obstruction")
+    assert code == 0
+    rows = out.splitlines()
+    code, bc_out, _ = invoke(capsys, "scan", "--genus", "18..19",
+                             "--predicate", "bc_fail", "--n", "2")
+    assert code == 0 and rows[:-1] == bc_out.splitlines()[:-1]
+    assert json.loads(rows[-1])["matched"] == len(rows) - 1 == 46
+    gaps = {tuple(json.loads(row)["gaps"]) for row in rows[:-1]}
+    low = tuple(range(1, 13))
+    even_last_gap = [low + (14, 15, 22, 24, 27, 28), low + (13, 15, 16, 24, 26, 29, 30),
+                     low + (14, 15, 17, 23, 27, 28, 30), low + (14, 15, 17, 24, 25, 28, 30),
+                     low + (14, 15, 22, 23, 25, 27, 28)]
+    assert all(g in gaps and g[-1] % 2 == 0 for g in even_last_gap)
+
+
 def test_scan_cap(capsys, monkeypatch):
     # one cap check: the scan refuses with the library's message
     from sgp.core import enumerate_genus_range
@@ -688,7 +707,10 @@ def test_exit_codes(capsys):
         (["bounds", "eval", "rho3", "2", "-1"], 2, "out", "PreconditionViolated"),
         (["family", "spurious", "--params", "N=2", "gamma=1", "A=3", "t=2",
           "g=16"], 2, "out", "PreconditionViolated"),
-        (["bounds", "eval", "castelnuovo_c", "0", "2"], 64, "err", "Usage"),  # d < 1
+        (["bounds", "eval", "castelnuovo_c", "0", "2"], 2, "out",
+         "PreconditionViolated"),  # d < 1
+        (["bounds", "eval", "castelnuovo_c", "5", "1"], 2, "out",
+         "PreconditionViolated"),  # r < 2
         (["bounds", "eval", "coprime_lower", "gens:3,4"], 64, "err", "Usage"),
         (["family", "buchweitz", "--params", "g"], 64, "err", "Usage"),  # not k=v
         (["family", "cover", "--params", "N=2", "g=9", "f=1"], 64, "err", "Usage"),

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from sgp.core import (SUMSET_CACHED_LEVELS, WORK_CAP, NumericalSemigroup, _bit_positions,
                       _exceptional_bits, _multiples, descendants, from_gaps,
                       from_generators, tree_children)
-from sgp.errors import CapExceeded, GenusTooSmall, WrongShape
-from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, _pairing_verdict, bc_test,
-                             gap_sum_profile, pair_sum_extras,
-                             pairing_obstruction, pairing_rules_out)
+from sgp.errors import CapExceeded, GenusTooSmall
+from sgp.obstruction import (INCONCLUSIVE, NOT_WEIERSTRASS, bc_test, gap_sum_profile,
+                             pair_sum_extras, pairing_obstruction)
 
 BUCHWEITZ_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
 
@@ -384,11 +383,12 @@ def test_pair_sum_extras_matches_set_reference(by_genus):
 
 
 def test_pairing_obstruction_guards():
-    with pytest.raises(WrongShape):
-        pairing_obstruction(from_generators([2, 5]))  # last gap 2g-1, i = 1
-    with pytest.raises(WrongShape):
-        pairing_obstruction(from_generators([3, 4, 5]))  # even last gap
-    # right shape (g = 12, i = 4), but #G_2 = 28 is the baseline 3g - 2i
+    # the count reads any shape of last gap: 2g - 1 (i = 1) and even
+    assert pairing_obstruction(from_generators([2, 5])) == INCONCLUSIVE
+    assert pairing_obstruction(from_generators([3, 4, 5])) == INCONCLUSIVE
+    with pytest.raises(GenusTooSmall):
+        pairing_obstruction(from_generators([2, 3]))
+    # the old pairing shape (g = 12, i = 4): #G_2 = 28 is the baseline 3g - 2i
     # alone, within the bound 3 * 11, so nothing is certified
     H = from_gaps([1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 17])
     assert pairing_obstruction(H) == INCONCLUSIVE
@@ -448,37 +448,24 @@ def test_pairing_implies_bound_failure_when_sums_are_extra(by_genus):
 
 
 def pairing_by_definition(H):
-    """pairing_obstruction from its definition: the shape of the last gap,
-    then the pairwise gap sums, listed pair by pair, against 3(g - 1)."""
-    g = H.genus
-    ell = H.frobenius
-    if g == 0 or ell % 2 == 0:
-        raise WrongShape("last gap must be odd")
-    i = (2 * g + 1 - ell) // 2
-    if i < 4:
-        raise WrongShape("need i >= 4")
-    if len(brute_sums(H.gaps, 2)) > 3 * (g - 1):
+    """pairing_obstruction from its definition: the pairwise gap sums,
+    listed pair by pair, against 3(g - 1)."""
+    if len(brute_sums(H.gaps, 2)) > 3 * (H.genus - 1):
         return NOT_WEIERSTRASS
     return INCONCLUSIVE
 
 
-def _verdict_or_shape(fn, H):
-    try:
-        return fn(H)
-    except WrongShape:
-        return WrongShape
-
-
 def test_pairing_obstruction_matches_profile_version_exhaustive():
-    # to genus 16, where the first two verdicts occur
-    seen = {INCONCLUSIVE: 0, NOT_WEIERSTRASS: 0, WrongShape: 0}
+    # every node of genus 2..16, where the first two verdicts occur
+    seen = Counter()
     for H in descendants(NumericalSemigroup(), 16):
-        want = _verdict_or_shape(pairing_by_definition, H)
-        assert _verdict_or_shape(pairing_obstruction, H) == want, H.gaps
-        assert pairing_rules_out(H) == (want == NOT_WEIERSTRASS), H.gaps
+        if H.genus < 2:
+            continue
+        want = pairing_by_definition(H)
+        assert pairing_obstruction(H) == want, H.gaps
         seen[want] += 1
-    # every outcome occurs, so the comparison is not vacuous
-    assert min(seen.values()) > 0
+    # both outcomes occur, so the comparison is not vacuous
+    assert seen[NOT_WEIERSTRASS] == 2 and seen[INCONCLUSIVE] > 0
 
 
 def pairing_by_chain(H):
@@ -503,25 +490,28 @@ def pairing_by_chain(H):
 
 
 def test_pairing_verdict_matches_chain_reference_exhaustive():
-    # every node to genus 19: the verdict keeps each chain verdict that the
-    # brute-force count certifies, drops each that it does not, and gives
-    # no verdict without the count; only pairing-shape nodes are counted
+    # every node to genus 19: the verdict is the brute-force count, so it
+    # keeps each chain verdict that the count certifies and drops each that
+    # it does not; the chain outcomes are over pairing-shape nodes, the
+    # verdicts per genus over all nodes
     outcomes, verdicts = Counter(), Counter()
     for H in descendants(NumericalSemigroup(), 19):
-        chain, _ = pairing_by_chain(H)
-        verdict = _pairing_verdict(H)
-        if chain is None:
-            assert verdict is None, H.gaps
-            continue
         g = H.genus
+        if g < 2:
+            continue
         certified = len(brute_sums(H.gaps, 2)) > 3 * (g - 1)
-        assert verdict == (NOT_WEIERSTRASS if certified else INCONCLUSIVE), H.gaps
-        outcomes[chain == NOT_WEIERSTRASS, certified] += 1
+        want = NOT_WEIERSTRASS if certified else INCONCLUSIVE
+        assert pairing_obstruction(H) == want, H.gaps
         verdicts[g] += certified
+        chain, _ = pairing_by_chain(H)
+        if chain is not None:
+            outcomes[chain == NOT_WEIERSTRASS, certified] += 1
     # 22 sound chain verdicts kept, 111 unsound ones dropped, 27 new
     assert outcomes[True, True] == 22 and outcomes[True, False] == 111
     assert outcomes[False, True] == 27
-    assert [verdicts[g] for g in range(15, 20)] == [0, 2, 6, 14, 27]
+    # over pairing-shape nodes alone these are 14 and 27 at genus 18 and 19:
+    # the five more have an even last gap
+    assert [verdicts[g] for g in range(15, 20)] == [0, 2, 6, 15, 31]
 
 
 def test_exceptional_gap_count_is_forced_exhaustive():
@@ -549,7 +539,7 @@ def test_pairing_verdict_reads_the_capped_sumset():
     h1 = (3 * g + 5 * i - 20) // 2
     H = from_gaps([*range(1, g - i + 1), h1 - 3, h1 - 5, h1, 2 * g - 2 * i + 1])
     assert (H.genus, H.frobenius) == (g, 2 * g - 2 * i + 1)
-    for check in (pairing_obstruction, pairing_rules_out, lambda H: gap_sum_profile(H, 2)):
+    for check in (pairing_obstruction, lambda H: gap_sum_profile(H, 2)):
         with pytest.raises(CapExceeded, match="sumset work .* exceeds cap"):
             check(H)
     assert H._sumsets == ()
