@@ -128,8 +128,8 @@ _EVAL_TABLE = {
 
 
 def evaluate(name: str, args: list[int] | tuple[int, ...]) -> BoundReport:
-    """Evaluate a named integer-argument bound into a BoundReport; an
-    argument below its domain raises PreconditionViolated."""
+    """Evaluate a named integer-argument bound into a BoundReport; arguments
+    below its domain or refused by the function raise PreconditionViolated."""
     if name not in _EVAL_TABLE:
         raise ValueError(f"unknown bound {name!r}")
     fn, domain = _EVAL_TABLE[name]
@@ -138,4 +138,7 @@ def evaluate(name: str, args: list[int] | tuple[int, ...]) -> BoundReport:
     for (arg, least), value in zip(domain.items(), args):
         if least is not None and value < least:
             raise PreconditionViolated(f"{name} needs {arg} >= {least}, got {value}")
-    return BoundReport(name, tuple(args), fn(*args))
+    try:
+        return BoundReport(name, tuple(args), fn(*args))
+    except ValueError as exc:
+        raise PreconditionViolated(str(exc)) from exc

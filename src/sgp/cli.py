@@ -26,7 +26,7 @@ from . import families as families_mod
 from .classify import project_by_n, type_test, type_verdict
 from .core import (DEFAULT_GENUS_CAP, SUMSET_CACHED_LEVELS, NumericalSemigroup, descendants,
                    format_semigroup, natural_gamma, parse_semigroup)
-from .errors import SemigroupError, UnknownPredicate, WorkerFailed
+from .errors import PreconditionViolated, SemigroupError, UnknownPredicate, WorkerFailed
 from .obstruction import bc_test, gap_sum_profile, pair_sum_extras
 
 GAP_LIST_CAP = 512
@@ -38,10 +38,6 @@ EXIT_SIGPIPE = 141  # 128 + SIGPIPE, what a shell reports for a process it kille
 # itself: POSIX makes a pipe write of at most PIPE_BUF (>= 512) bytes atomic,
 # so a reader's 4-byte read never takes part of a record
 _RECORD = 4
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _ascii_int(text: str) -> int:
@@ -59,7 +55,7 @@ def _value(name: str, kind, text: str):
             raise ValueError(f"invalid choice {text!r}")
         return text if isinstance(kind, tuple) else [text] if kind is list else kind(text)
     except ValueError as exc:
-        raise _UsageError(f"{name}: {exc}")
+        raise ValueError(f"{name}: {exc}")
 
 
 def _gap_list(gaps: tuple[int, ...], genus: int) -> dict[str, Any]:
@@ -79,21 +75,16 @@ def _semigroup_json(H: NumericalSemigroup) -> dict[str, Any]:
     return out
 
 
-def _render_text(payload: Any, indent: str = "") -> str:
+def _render_text(payload: dict[str, Any], indent: str = "") -> str:
+    """``payload`` as key: value lines; a dict or list of dicts nests under its key."""
     lines = []
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            if isinstance(value, dict) or (
-                    isinstance(value, list) and value and isinstance(value[0], dict)):
-                lines.append(f"{indent}{key}:")
-                lines.append(_render_text(value, indent + "  "))
-            else:
-                lines.append(f"{indent}{key}: {json.dumps(value)}")
-    elif isinstance(payload, list):
-        for value in payload:
-            lines.append(_render_text(value, indent))
-    else:
-        lines.append(f"{indent}{json.dumps(payload)}")
+    for key, value in payload.items():
+        nested = [value] if isinstance(value, dict) else value
+        if isinstance(nested, list) and nested and isinstance(nested[0], dict):
+            lines.append(f"{indent}{key}:")
+            lines += [_render_text(item, indent + "  ") for item in nested]
+        else:
+            lines.append(f"{indent}{key}: {json.dumps(value)}")
     return "\n".join(lines)
 
 
@@ -113,16 +104,18 @@ def _bound_ints(tokens: list[str]) -> list[int]:
     try:
         return [_ascii_int(a) for a in tokens]
     except ValueError:
-        raise _UsageError("bound arguments must be integers")
+        raise ValueError("bound arguments must be integers")
 
 
 def _cmd_bounds(args) -> list[dict[str, Any]]:
     name = args.name
     if name == "coprime_lower":
         if len(args.args) != 2:
-            raise _UsageError("coprime_lower takes a semigroup spec and N")
+            raise ValueError("coprime_lower takes a semigroup spec and N")
         H = parse_semigroup(args.args[0])
         n, = _bound_ints(args.args[1:])
+        if n < 2:
+            raise PreconditionViolated(f"coprime_lower needs N >= 2, got {n}")
         value = bounds_mod.coprime_lower_bound(H, n)
         report = bounds_mod.BoundReport("coprime_lower",
                                         (H.genus, natural_gamma(H, n), n), value,
@@ -155,12 +148,12 @@ def _family_params(name: str, tokens: list[str]) -> list:
     params: dict[str, str] = {}
     for token in tokens:
         if "=" not in token:
-            raise _UsageError(f"params must look like k=v, got {token!r}")
+            raise ValueError(f"params must look like k=v, got {token!r}")
         key, value = token.split("=", 1)
         if key not in _FAMILY_PARAMS[name]:
-            raise _UsageError(f"unknown family parameter {key!r}")
+            raise ValueError(f"unknown family parameter {key!r}")
         if key in params:
-            raise _UsageError(f"family parameter {key} given twice")
+            raise ValueError(f"family parameter {key} given twice")
         params[key] = value
     values = []
     for key in _FAMILY_PARAMS[name]:
@@ -168,7 +161,7 @@ def _family_params(name: str, tokens: list[str]) -> list:
             kind = parse_semigroup if key == "htilde" else _ascii_int
             values.append(_value(f"family parameter {key}", kind, params[key]))
         elif key != "a":
-            raise _UsageError(f"missing family parameter {key}")
+            raise ValueError(f"missing family parameter {key}")
     return values
 
 
@@ -209,10 +202,10 @@ def _parse_genus_range(text: str) -> tuple[int, int]:
     else:
         lo_text = hi_text = text
     if not (text.isascii() and lo_text.isdigit() and hi_text.isdigit()):
-        raise _UsageError(f"bad genus range {text!r}")
+        raise ValueError(f"bad genus range {text!r}")
     lo, hi = int(lo_text), int(hi_text)
     if lo > hi:
-        raise _UsageError(f"bad genus range {text!r}")
+        raise ValueError(f"bad genus range {text!r}")
     return lo, hi
 
 
@@ -360,7 +353,7 @@ def _cmd_scan(args) -> list[dict[str, Any]]:
     lo, hi = _parse_genus_range(args.genus)
     # usage errors come before the genus cap, a domain error
     if args.parallelism < 1:
-        raise _UsageError(f"--parallelism must be at least 1, got {args.parallelism}")
+        raise ValueError(f"--parallelism must be at least 1, got {args.parallelism}")
     predicate, levels = _predicate_fn(args.predicate, args.n)  # fails fast on bad parameters
     cap = _value("SGP_GENUS_CAP", _ascii_int, os.getenv("SGP_GENUS_CAP", str(DEFAULT_GENUS_CAP)))
     shards = core_mod._genus_shards(lo, hi, cap, levels)
@@ -423,7 +416,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             if name == "verb":
                 spec = _VERBS[token][1]
         elif opt not in spec or opt[0] != "-" or (spec[opt][0] is bool and eq):
-            raise _UsageError(f"unrecognized argument {token!r}")
+            raise ValueError(f"unrecognized argument {token!r}")
         else:
             kind, gather = spec[opt][0], None
             if kind is list and not eq:
@@ -431,13 +424,13 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             elif kind is bool:
                 values[opt] = True
             elif not eq and _is_option(text := next(tokens, "--")):
-                raise _UsageError(f"{opt}: expected one argument")
+                raise ValueError(f"{opt}: expected one argument")
             else:
                 values[opt] = _value(opt, kind, text)
     missing = [key for key, (kind, default) in spec.items()
                if values.setdefault(key, [] if kind is list else default) is ...]
     if missing:
-        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(**{key.lstrip("-").replace("-", "_"): v for key, v in values.items()})
 
 
@@ -460,7 +453,7 @@ def run(argv: list[str]) -> int:
         for payload in _VERBS[args.verb][0](args):
             print(json.dumps(payload) if args.output == "json" else _render_text(payload))
         return EXIT_OK
-    except (_UsageError, ValueError, SemigroupError) as exc:
+    except (ValueError, SemigroupError) as exc:
         # domain errors go to stdout with exit 2; usage errors, including
         # an unknown predicate, go to stderr with exit 64
         domain = isinstance(exc, SemigroupError) and not isinstance(exc, UnknownPredicate)

@@ -47,14 +47,14 @@ class NumericalSemigroup:
     ``tree_children`` builds all of a node's children in one pass over its
     fields, from its effective generators (the minimal generators above
     the Frobenius number), whose removal keeps closure.  The bitset is all
-    a constructor builds: the gap tuple, the elements below the conductor,
-    the effective and the minimal generators, the elements' mirror and the
-    n-fold gap sumsets are derived on first use and cached, so a semigroup
-    pays only for what is read of it; tree children derive the first two of
-    those from the parent's and carry the sumsets down.
+    a constructor builds; the gap tuple is decoded from it on each read, and
+    the small elements, effective and minimal generators, mirror and n-fold
+    gap sumsets are derived on first use and cached, so a semigroup pays
+    only for what is read of it.  A tree child derives its effective
+    generators and mirror from its parent's and carries the sumsets down.
     """
 
-    __slots__ = ("_gaps", "genus", "frobenius", "conductor", "_member_bits",
+    __slots__ = ("genus", "frobenius", "conductor", "_member_bits",
                  "_small", "_min_gens", "_eff", "_parent", "_sumsets", "_rev")
 
     def __init__(self, gaps: Iterable[int] | int = ()):
@@ -62,7 +62,6 @@ class NumericalSemigroup:
         gap_bits = gaps if isinstance(gaps, int) else _position_bits(gaps)
         if gap_bits < 0 or gap_bits & 1:
             raise ValueError("gaps must be positive integers")
-        self._gaps: tuple[int, ...] | None = None
         self.genus = gap_bits.bit_count()
         self.frobenius = gap_bits.bit_length() - 1
         self.conductor = self.frobenius + 1
@@ -107,10 +106,8 @@ class NumericalSemigroup:
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        """The gaps, ascending, decoded from the bitset on first read."""
-        if self._gaps is None:
-            self._gaps = _bit_positions(self._gap_bits())
-        return self._gaps
+        """The gaps, ascending, decoded from the bitset on each read."""
+        return _bit_positions(self._gap_bits())
 
     @property
     def _small_elements(self) -> tuple[int, ...]:
@@ -446,7 +443,6 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
     kids = []
     for x in eff:
         child = new(NumericalSemigroup)
-        child._gaps = None
         child.genus = genus
         child.frobenius = x
         child.conductor = x + 1

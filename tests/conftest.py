@@ -1,6 +1,6 @@
 import pytest
 
-from sgp.core import enumerate_genus_range
+from sgp.core import NumericalSemigroup, enumerate_genus_range
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +14,17 @@ def by_genus():
         return cache[g]
 
     return get
+
+
+@pytest.fixture
+def gap_reads(monkeypatch):
+    """The semigroups whose gap tuple is read from here on, one entry a read."""
+    reads = []
+    decode = NumericalSemigroup.gaps.fget
+
+    def counted(H):
+        reads.append(H)
+        return decode(H)
+
+    monkeypatch.setattr(NumericalSemigroup, "gaps", property(counted))
+    return reads

@@ -158,6 +158,10 @@ def test_evaluate_reports():
                        ("compositum", [0, 0, 1, 0]), ("compositum", [1, 0, 1, -1])):
         with pytest.raises(PreconditionViolated, match=f"^{name} needs "):
             evaluate(name, args)
+    # a bound function's own ValueError, which its direct callers still get
+    for args in ([3, 2], [0, 2]):
+        with pytest.raises(PreconditionViolated, match="^need 0 < m < n$"):
+            evaluate("jenkins", args)
     # the least arguments of each domain still evaluate
     assert evaluate("compositum", [1, 0, 1, 0]).value == 0
     assert evaluate("rho3", [1, 0]).value == 0

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from sgp.cli import run
-from sgp.core import format_semigroup, from_generators
+from sgp.core import _bit_positions, format_semigroup, from_generators
 from sgp.families import cover_family
 
 
@@ -221,28 +221,17 @@ def test_scan_parallel_output_identical(capsys, monkeypatch, time_limit):
     assert_no_children()
 
 
-def test_scan_decodes_gaps_only_for_printed_rows(capsys, monkeypatch):
-    # a tree node decodes its gap tuple when it is read, and a scan reads
-    # it only for the rows it prints, bc_fail's sumsets included
-    import sgp.cli
-    original = sgp.cli.descendants
-    seen = []
-
-    def recording(root, max_genus):
-        for H in original(root, max_genus):
-            seen.append(H)
-            yield H
-
-    monkeypatch.setattr(sgp.cli, "descendants", recording)
+def test_scan_decodes_gaps_only_for_printed_rows(capsys, gap_reads):
+    # a scan reads a tree node's gap tuple once for each row it prints and
+    # for no other node, bc_fail's sumsets included
     for predicate in (["symmetric"], ["bc_fail", "--n", "2"], ["bc_fail", "--n", "3"],
                       ["obstruction"], ["type:2,1"]):
-        seen.clear()
+        gap_reads.clear()
         code, out, _ = invoke(capsys, "scan", "--genus", "11..16",
                               "--predicate", *predicate, "--parallelism", "1")
         assert code == 0
         rows = [json.loads(line) for line in out.splitlines()]
-        decoded = sorted(H.gaps for H in seen if H._gaps is not None)
-        assert sum(H.genus >= 11 for H in seen) == rows[-1]["scanned"]
+        decoded = sorted(_bit_positions(H._gap_bits()) for H in gap_reads)
         assert decoded == sorted(tuple(r["gaps"]) for r in rows[:-1]), predicate
 
 
@@ -711,6 +700,13 @@ def test_exit_codes(capsys):
          "PreconditionViolated"),  # d < 1
         (["bounds", "eval", "castelnuovo_c", "5", "1"], 2, "out",
          "PreconditionViolated"),  # r < 2
+        # jenkins' own check of 0 < m < n, and coprime_lower's N >= 2
+        (["bounds", "eval", "jenkins", "3", "2"], 2, "out", "PreconditionViolated"),
+        (["bounds", "eval", "jenkins", "0", "2"], 2, "out", "PreconditionViolated"),
+        (["bounds", "eval", "coprime_lower", "gens:4,6,17", "1"], 2, "out",
+         "PreconditionViolated"),
+        (["bounds", "eval", "coprime_lower", "gens:4,6,17", "0"], 2, "out",
+         "PreconditionViolated"),
         (["bounds", "eval", "coprime_lower", "gens:3,4"], 64, "err", "Usage"),
         (["family", "buchweitz", "--params", "g"], 64, "err", "Usage"),  # not k=v
         (["family", "cover", "--params", "N=2", "g=9", "f=1"], 64, "err", "Usage"),
@@ -773,6 +769,59 @@ def test_text_mode_contains_all_fields(capsys):
     assert code == 0
     for key in ("N", "gamma", "cond_a", "cond_b", "cond_c", "is_type", "gamma_N"):
         assert f"{key}:" in out
+
+
+def test_text_mode_renders_nested_payloads(capsys):
+    # a nested dict and a list of dicts indent their items under their key;
+    # each scan row and the summary is its own payload
+    code, out, err = invoke(capsys, "--output", "text", "family", "buchweitz",
+                            "--params", "g=16", "i=4")
+    assert (code, err) == (0, "")
+    assert out == """\
+family: "buchweitz_gen"
+params:
+  g: 16
+  i: 4
+  a: 3
+semigroup: "gaps:1,2,3,4,5,6,7,8,9,10,11,12,19,21,24,25"
+genus: 16
+frobenius: 25
+claims:
+  name: "genus"
+  expected: 16
+  observed: 16
+  holds: true
+  name: "last_gap"
+  expected: 25
+  observed: 25
+  holds: true
+  name: "pairing_obstruction"
+  expected: "not_weierstrass"
+  observed: "not_weierstrass"
+  holds: true
+diagnostics:
+  h1: 24
+  excess: 6
+  pair_sum_cardinality: 46
+  pair_sum_bound: 45
+  fails_pair_sum_bound: true
+"""
+    code, out, err = invoke(capsys, "--output", "text", "scan", "--genus", "3",
+                            "--predicate", "symmetric")
+    assert (code, err) == (0, "")
+    assert out == """\
+genus: 3
+gaps: [1, 2, 5]
+min_gens: [3, 4]
+genus: 3
+gaps: [1, 3, 5]
+min_gens: [2, 7]
+summary: true
+predicate: "symmetric"
+genus: [3, 3]
+scanned: 4
+matched: 2
+"""
 
 
 def test_parse_shares_no_state_between_calls():
