@@ -141,4 +141,5 @@ def evaluate(name: str, args: list[int] | tuple[int, ...]) -> BoundReport:
     try:
         return BoundReport(name, tuple(args), fn(*args))
     except ValueError as exc:
-        raise PreconditionViolated(str(exc)) from exc
+        got = ", ".join(f"{arg}={value}" for arg, value in zip(domain, args))
+        raise PreconditionViolated(f"{name}: {exc} (got {got})") from exc

@@ -24,8 +24,8 @@ from . import bounds as bounds_mod
 from . import core as core_mod
 from . import families as families_mod
 from .classify import project_by_n, type_test, type_verdict
-from .core import (DEFAULT_GENUS_CAP, SUMSET_CACHED_LEVELS, NumericalSemigroup, descendants,
-                   format_semigroup, natural_gamma, parse_semigroup)
+from .core import (SUMSET_CACHED_LEVELS, NumericalSemigroup, descendants, format_semigroup,
+                   natural_gamma, parse_semigroup)
 from .errors import PreconditionViolated, SemigroupError, UnknownPredicate, WorkerFailed
 from .obstruction import bc_test, gap_sum_profile, pair_sum_extras
 
@@ -34,9 +34,8 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 EXIT_SIGPIPE = 141  # 128 + SIGPIPE, what a shell reports for a process it killed
-# a scan shard's index on the task pipe is one 4-byte record, written by
-# itself: POSIX makes a pipe write of at most PIPE_BUF (>= 512) bytes atomic,
-# so a reader's 4-byte read never takes part of a record
+# a scan shard's index on the task pipe; the at most 301 shards of a scan
+# take 1,204 bytes, which one page of pipe buffer holds
 _RECORD = 4
 
 
@@ -76,13 +75,14 @@ def _semigroup_json(H: NumericalSemigroup) -> dict[str, Any]:
 
 
 def _render_text(payload: dict[str, Any], indent: str = "") -> str:
-    """``payload`` as key: value lines; a dict or list of dicts nests under its key."""
+    """``payload`` as key: value lines; a dict or list of dicts nests under
+    its key, with an empty line between the dicts of a list."""
     lines = []
     for key, value in payload.items():
         nested = [value] if isinstance(value, dict) else value
         if isinstance(nested, list) and nested and isinstance(nested[0], dict):
             lines.append(f"{indent}{key}:")
-            lines += [_render_text(item, indent + "  ") for item in nested]
+            lines.append("\n\n".join(_render_text(item, indent + "  ") for item in nested))
         else:
             lines.append(f"{indent}{key}: {json.dumps(value)}")
     return "\n".join(lines)
@@ -283,16 +283,15 @@ def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
     forked helpers, and return each shard's (scanned, rows) in shard order.
 
     Nothing is pickled to a helper: it inherits the shards and the
-    predicate, and takes shard indices from one pipe until it is empty.
-    The parent writes the indices with its write end non-blocking; an index
-    that finds the pipe full it scans itself, so no write waits for a
-    reader, and no read waits on a pipe it still holds open.  Once every
-    index is handed out it closes the write end and pulls from the pipe as
-    a helper does.  If a shard raised, the exception of the first such
-    shard is raised here, as the serial scan would raise it: indices go out
-    in order, so every lower one was taken.  A helper that dies without a
-    result is ``WorkerFailed``.  Every helper is reaped before this returns
-    or raises.
+    predicate.  Before the first fork the parent writes every shard index
+    to one pipe in one write, which the pipe buffer holds, and closes the
+    write end; then it and each helper take indices until the pipe is
+    empty.  Every index is in the pipe before anyone reads, so each 4-byte
+    read takes one whole index.  If a shard raised, the exception of the
+    first such shard is raised here, as the serial scan would raise it:
+    indices are taken in order, so every lower one was taken.  A helper
+    that dies without a result is ``WorkerFailed``.  Every helper is reaped
+    before this returns or raises.
     """
     pending: dict[int, Any] = {}  # pid -> the read end of its result pipe
     done: list = []
@@ -301,31 +300,21 @@ def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
         # process must not hold it, else when the stack unwinds
         with contextlib.ExitStack() as ends:
             tasks_r, tasks_w = _pipe(ends)
+            tasks_w.write(b"".join(i.to_bytes(_RECORD, "little") for i in range(len(shards))))
+            tasks_w.close()
             for _ in range(workers - 1):
                 result_r, result_w = _pipe(ends)
                 pid = os.fork()
                 if pid == 0:  # the helper leaves only by os._exit
                     status = 70  # EX_SOFTWARE, if the body itself fails
                     try:
-                        tasks_w.close()  # else its own reads would never see the end
                         status = _shard_worker(tasks_r.fileno(), result_w.fileno(),
                                                shards, lo, predicate)
                     finally:
                         os._exit(status)
                 result_w.close()
                 pending[pid] = result_r
-            failure = None
-            os.set_blocking(tasks_w.fileno(), False)
-            for i in range(len(shards)):
-                if tasks_w.write(i.to_bytes(_RECORD, "little")) is None:  # pipe full
-                    try:
-                        done.append((i, _scan_worker(shards[i], lo, predicate)))
-                    except Exception as exc:
-                        failure = (i, exc)
-                        break
-            tasks_w.close()
-            if failure is None:
-                failure = _pull_shards(tasks_r.fileno(), shards, lo, predicate, done)
+            failure = _pull_shards(tasks_r.fileno(), shards, lo, predicate, done)
             failures = [failure] if failure else []
             for pid, result_r in list(pending.items()):
                 data = result_r.read()
@@ -355,8 +344,7 @@ def _cmd_scan(args) -> list[dict[str, Any]]:
     if args.parallelism < 1:
         raise ValueError(f"--parallelism must be at least 1, got {args.parallelism}")
     predicate, levels = _predicate_fn(args.predicate, args.n)  # fails fast on bad parameters
-    cap = _value("SGP_GENUS_CAP", _ascii_int, os.getenv("SGP_GENUS_CAP", str(DEFAULT_GENUS_CAP)))
-    shards = core_mod._genus_shards(lo, hi, cap, levels)
+    shards = core_mod._genus_shards(lo, hi, levels)
     workers = min(args.parallelism, os.cpu_count() or 1, len(shards))
     if workers > 1 and hasattr(os, "fork"):
         parts = _fork_shards(shards, lo, predicate, workers)
@@ -450,8 +438,12 @@ def run(argv: list[str]) -> int:
             print(_usage())
             return EXIT_OK
         args = _parse(argv)
-        for payload in _VERBS[args.verb][0](args):
-            print(json.dumps(payload) if args.output == "json" else _render_text(payload))
+        payloads = _VERBS[args.verb][0](args)
+        if args.output == "json":
+            for payload in payloads:
+                print(json.dumps(payload))
+        else:  # an empty line between payloads
+            print(*map(_render_text, payloads), sep="\n\n")
         return EXIT_OK
     except (ValueError, SemigroupError) as exc:
         # domain errors go to stdout with exit 2; usage errors, including

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 from .errors import (CapExceeded, EmptyInput, GcdNotOne, NotAnElement,
                      NotASemigroup)
 
+# the highest genus a tree walk reaches, so a scan has at most 301 shards
 DEFAULT_GENUS_CAP = 25
 # gap sumset levels S_1 .. S_k a semigroup keeps and hands to its tree
 # children; all k levels take O(k^2 * frobenius) bits
@@ -478,8 +479,7 @@ def descendants(H: NumericalSemigroup, max_genus: int) -> Iterator[NumericalSemi
             stack += kids
 
 
-def _genus_shards(lo: int, hi: int, cap: int,
-                  levels: int = 0) -> list[tuple[NumericalSemigroup, int]]:
+def _genus_shards(lo: int, hi: int, levels: int = 0) -> list[tuple[NumericalSemigroup, int]]:
     """The genus tree to genus hi as shards, each a root and the genus its
     subtree stops at, whose nodes of genus >= lo are each semigroup of genus
     lo..hi once.  Nearly all of the tree hangs below the ordinary semigroups,
@@ -493,8 +493,8 @@ def _genus_shards(lo: int, hi: int, cap: int,
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
-    if hi > cap:
-        raise CapExceeded(f"genus {hi} exceeds cap {cap}")
+    if hi > DEFAULT_GENUS_CAP:
+        raise CapExceeded(f"genus {hi} exceeds cap {DEFAULT_GENUS_CAP}")
     shards = []
     H = NumericalSemigroup()
     H._sumsets = (0,) * levels
@@ -508,12 +508,11 @@ def _genus_shards(lo: int, hi: int, cap: int,
     return shards
 
 
-def enumerate_genus_range(lo: int, hi: int,
-                          cap: int = DEFAULT_GENUS_CAP) -> Iterator[NumericalSemigroup]:
+def enumerate_genus_range(lo: int, hi: int) -> Iterator[NumericalSemigroup]:
     """Every semigroup with lo <= genus <= hi, shard by shard, each in tree
     order.  A yielded node refers to its tree parent, so a caller that keeps
     nodes also keeps their ancestors alive."""
-    return (H for root, top in _genus_shards(lo, hi, cap)
+    return (H for root, top in _genus_shards(lo, hi)
             for H in descendants(root, top) if H.genus >= lo)
 
 

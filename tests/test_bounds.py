@@ -159,9 +159,11 @@ def test_evaluate_reports():
         with pytest.raises(PreconditionViolated, match=f"^{name} needs "):
             evaluate(name, args)
     # a bound function's own ValueError, which its direct callers still get
-    for args in ([3, 2], [0, 2]):
-        with pytest.raises(PreconditionViolated, match="^need 0 < m < n$"):
-            evaluate("jenkins", args)
+    # re-raised with the bound's name and the arguments it got
+    for m, n in ((3, 2), (0, 2)):
+        with pytest.raises(PreconditionViolated,
+                           match=rf"^jenkins: need 0 < m < n \(got m={m}, n={n}\)$"):
+            evaluate("jenkins", [m, n])
     # the least arguments of each domain still evaluate
     assert evaluate("compositum", [1, 0, 1, 0]).value == 0
     assert evaluate("rho3", [1, 0]).value == 0

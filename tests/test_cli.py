@@ -255,7 +255,7 @@ def test_scan_builds_no_sumsets(capsys, monkeypatch):
         assert calls == [], predicate
 
 
-def test_integer_arguments_are_ascii(capsys, monkeypatch):
+def test_integer_arguments_are_ascii(capsys):
     # int() alone reads any script's digits; every integer the CLI reads
     # is an optional '-' and ASCII digits, so these are usage errors
     for argv in (["obstruct", "gens:3,4,5", "--n", "\u0663"],
@@ -269,10 +269,6 @@ def test_integer_arguments_are_ascii(capsys, monkeypatch):
         code, out, err = invoke(capsys, *argv)
         assert code == 64 and out == "", argv
         assert json.loads(err)["error"]["name"] in ("Usage", "UnknownPredicate"), argv
-    monkeypatch.setenv("SGP_GENUS_CAP", "\u0665")
-    code, _, err = invoke(capsys, "scan", "--genus", "3", "--predicate", "symmetric")
-    assert code == 64 and "SGP_GENUS_CAP" in err
-    monkeypatch.delenv("SGP_GENUS_CAP")
     # the sign is kept, so negative values reach the checks that reject them
     code, _, err = invoke(capsys, "obstruct", "gens:3,4,5", "--n", "-1")
     assert code == 64 and json.loads(err)["error"]["message"] == "need n >= 2"
@@ -437,22 +433,34 @@ def test_forked_scan_worker_death(capsys, monkeypatch, time_limit):
     assert_no_children()
 
 
+# the most shards a scan has (test_shard_indices_fit_one_pipe_page)
+MOST_SHARDS = 301
+
+
+def test_shard_indices_fit_one_pipe_page():
+    # the genus cap bounds the shard count, reached at --genus 25, so every
+    # index fits in one page of pipe buffer, written before the first fork
+    import sgp.cli
+    from sgp.core import DEFAULT_GENUS_CAP, _genus_shards
+    assert max(len(_genus_shards(lo, hi)) for hi in range(DEFAULT_GENUS_CAP + 1)
+               for lo in range(hi + 1)) == MOST_SHARDS
+    assert MOST_SHARDS * sgp.cli._RECORD <= 4096
+
+
 def test_forked_shards_each_come_back_once(monkeypatch, time_limit):
-    # more indices than one pipe buffer holds: a write that finds the pipe
-    # full does not wait, as the parent scans that shard itself
+    # as many shards as a scan can have: each comes back once, in order
     import sgp.cli
     monkeypatch.setattr(sgp.cli, "_scan_worker",
                         lambda shard, lo, predicate: (1, [shard]))
-    shards = list(range(20000))
+    shards = list(range(MOST_SHARDS))
     assert sgp.cli._fork_shards(shards, 0, None, 2) == [(1, [i]) for i in shards]
     assert_no_children()
 
     def raises(shard, lo, predicate):
         raise ValueError(shard)
 
-    # every process stops at its first shard, the parent at the first one
-    # that does not fit in the pipe; the first shard's exception comes back,
-    # as in a serial scan
+    # every process stops at its first shard; the first shard's exception
+    # comes back, as in a serial scan
     monkeypatch.setattr(sgp.cli, "_scan_worker", raises)
     with pytest.raises(ValueError) as info:
         sgp.cli._fork_shards(shards, 0, None, 2)
@@ -461,8 +469,7 @@ def test_forked_shards_each_come_back_once(monkeypatch, time_limit):
 
 
 def test_forked_parent_scans_what_helpers_leave(monkeypatch, time_limit):
-    # helpers that take no shard: the parent scans each index that did not
-    # fit in the pipe, then pulls the rest
+    # helpers that take no shard: the parent pulls every index
     import pickle
     import sgp.cli
 
@@ -474,21 +481,20 @@ def test_forked_parent_scans_what_helpers_leave(monkeypatch, time_limit):
     monkeypatch.setattr(sgp.cli, "_shard_worker", idle_helper)
     monkeypatch.setattr(sgp.cli, "_scan_worker",
                         lambda shard, lo, predicate: (1, [shard]))
-    shards = list(range(20000))
+    shards = list(range(MOST_SHARDS))
     assert sgp.cli._fork_shards(shards, 0, None, 3) == [(1, [i]) for i in shards]
     assert_no_children()
 
 
 def test_forked_scan_with_every_helper_dead(monkeypatch, time_limit):
-    # the parent scans all 20,000 shards, more than one pipe buffer holds,
-    # then finds no result from either helper
+    # the parent scans all the shards, then finds no result from either helper
     import sgp.cli
     from sgp.errors import WorkerFailed
     kill_helpers(monkeypatch)
     monkeypatch.setattr(sgp.cli, "_scan_worker",
                         lambda shard, lo, predicate: (1, [shard]))
     with pytest.raises(WorkerFailed, match="status 3"):
-        sgp.cli._fork_shards(list(range(20000)), 0, None, 3)
+        sgp.cli._fork_shards(list(range(MOST_SHARDS)), 0, None, 3)
     assert_no_children()
 
 
@@ -625,24 +631,31 @@ def test_scan_obstruction_rows_are_bc_fail_rows(capsys):
     assert all(g in gaps and g[-1] % 2 == 0 for g in even_last_gap)
 
 
-def test_scan_cap(capsys, monkeypatch):
+def test_scan_cap(capsys):
     # one cap check: the scan refuses with the library's message
     from sgp.core import enumerate_genus_range
     from sgp.errors import CapExceeded
-    for genus, hi, cap in (("26", 26, None), ("0..100000000000", 10**11, None),
-                           ("6", 6, "5")):
-        if cap is not None:
-            monkeypatch.setenv("SGP_GENUS_CAP", cap)
+    for genus, hi in (("26", 26), ("0..100000000000", 10**11)):
         code, out, err = invoke(capsys, "scan", "--genus", genus, "--predicate", "symmetric")
         with pytest.raises(CapExceeded) as library:
-            enumerate_genus_range(0, hi, *([int(cap)] if cap else []))
-        assert str(library.value) == f"genus {hi} exceeds cap {cap or 25}"
+            enumerate_genus_range(0, hi)
+        assert str(library.value) == f"genus {hi} exceeds cap 25"
         assert code == 2 and err == ""
         assert json.loads(out)["error"] == {"name": "CapExceeded",
                                             "message": str(library.value)}
-    monkeypatch.setenv("SGP_GENUS_CAP", "8")
-    code, _, _ = invoke(capsys, "scan", "--genus", "6", "--predicate", "symmetric")
-    assert code == 0
+
+
+def test_genus_cap_is_not_read_from_the_environment():
+    # the cap is fixed, so no setting lets the shard chain grow until
+    # memory runs out
+    for genus, cap in (("26", "1000"), ("0..100000000000", "1000000000000")):
+        proc = subprocess.run([sys.executable, "-m", "sgp.cli", "scan", "--genus", genus,
+                               "--predicate", "symmetric"], capture_output=True, text=True,
+                              env={**os.environ, "SGP_GENUS_CAP": cap}, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, ""), genus
+        hi = genus.rpartition(".")[2]
+        assert json.loads(proc.stdout)["error"] == {
+            "name": "CapExceeded", "message": f"genus {hi} exceeds cap 25"}
 
 
 def test_gap_list_truncation(capsys):
@@ -772,8 +785,8 @@ def test_text_mode_contains_all_fields(capsys):
 
 
 def test_text_mode_renders_nested_payloads(capsys):
-    # a nested dict and a list of dicts indent their items under their key;
-    # each scan row and the summary is its own payload
+    # a nested dict and a list of dicts indent their items under their key,
+    # with an empty line between the dicts of a list
     code, out, err = invoke(capsys, "--output", "text", "family", "buchweitz",
                             "--params", "g=16", "i=4")
     assert (code, err) == (0, "")
@@ -791,10 +804,12 @@ claims:
   expected: 16
   observed: 16
   holds: true
+
   name: "last_gap"
   expected: 25
   observed: 25
   holds: true
+
   name: "pairing_obstruction"
   expected: "not_weierstrass"
   observed: "not_weierstrass"
@@ -806,6 +821,11 @@ diagnostics:
   pair_sum_bound: 45
   fails_pair_sum_bound: true
 """
+
+
+def test_text_mode_separates_payloads(capsys):
+    # each scan row and the summary is its own payload, with an empty line
+    # between payloads and none after the last
     code, out, err = invoke(capsys, "--output", "text", "scan", "--genus", "3",
                             "--predicate", "symmetric")
     assert (code, err) == (0, "")
@@ -813,9 +833,11 @@ diagnostics:
 genus: 3
 gaps: [1, 2, 5]
 min_gens: [3, 4]
+
 genus: 3
 gaps: [1, 3, 5]
 min_gens: [2, 7]
+
 summary: true
 predicate: "symmetric"
 genus: [3, 3]
