@@ -62,19 +62,19 @@ class TypeVerdict:
     gamma_n: int
 
 
-def _type_conditions(H: NumericalSemigroup, N: int, gamma: int,
-                     multiples: int) -> tuple[bool, bool, bool]:
-    """Conditions (a), (b), (c) of type (N, gamma) from H's membership bitset.
-
-    ``multiples`` has the bit kN set for each 1 <= k <= 2*gamma, at least
-    for every kN up to the conductor.  Every number from the conductor on
-    is an element, so the work is bounded by the conductor, not by gamma
-    or N.
-    """
+def type_verdict(H: NumericalSemigroup, N: int, gamma: int) -> TypeVerdict:
+    """Evaluate all three conditions independently (no short-circuiting),
+    from H's membership bitset: every number from the conductor on is an
+    element, so the work is bounded by the conductor, and a huge gamma or N
+    costs no more than a small one.  At gamma = 0 condition (a) is vacuous
+    and (b) reads m_0 = 0, so type (N, 0) reduces to N being an element."""
+    if N < 1 or gamma < 0:
+        raise ValueError("need N >= 1 and gamma >= 0")
     c = H.conductor
     bits = H._member_bits  # bits 0 .. conductor
-    # (a): the multiples up to the conductor by popcount; the others are elements
-    cond_a = (bits & multiples).bit_count() + 2 * gamma - min(2 * gamma, c // N) == gamma
+    # (a): the multiples kN, k <= 2*gamma, up to c by popcount; the rest are elements
+    below = min(2 * gamma, c // N)
+    cond_a = (bits & _multiples(N, below)).bit_count() + 2 * gamma - below == gamma
     # (b): 2N*gamma is an element with exactly gamma elements below it
     top = 2 * N * gamma
     if top >= c:
@@ -83,21 +83,6 @@ def _type_conditions(H: NumericalSemigroup, N: int, gamma: int,
         cond_b = (bits >> top & 1 == 1
                   and bits.bit_count() - (bits >> top).bit_count() == gamma)
     cond_c = top + N >= c or bits >> (top + N) & 1 == 1
-    return cond_a, cond_b, cond_c
-
-
-def type_verdict(H: NumericalSemigroup, N: int, gamma: int) -> TypeVerdict:
-    """Evaluate all three conditions independently (no short-circuiting).
-
-    The conditions come from the membership bitset (``_type_conditions``),
-    so a huge gamma or N costs no more than a small one.  At gamma = 0
-    condition (a) is vacuous and (b) reads m_0 = 0, so type (N, 0) reduces
-    to N being an element.
-    """
-    if N < 1 or gamma < 0:
-        raise ValueError("need N >= 1 and gamma >= 0")
-    multiples = _multiples(N, min(2 * gamma, H.conductor // N))
-    cond_a, cond_b, cond_c = _type_conditions(H, N, gamma, multiples)
     return TypeVerdict(N, gamma, cond_a, cond_b, cond_c,
                        cond_a and cond_b and cond_c, natural_gamma(H, N))
 
@@ -181,7 +166,7 @@ def leading_gcd(H: NumericalSemigroup, N: int, A: int) -> int:
         raise PreconditionViolated("need A >= 2*gamma + 1")
     if H.genus <= rho1(A, N, gamma):
         raise PreconditionViolated("need genus > rho1(A, N, gamma)")
-    return gcd(*(H.element_at(i) for i in range(1, A - gamma + 1)))
+    return gcd(*H._elements(A - gamma + 1)[1:])
 
 
 @dataclass(frozen=True)
@@ -229,7 +214,8 @@ def arithmetic_cover_criterion(H: NumericalSemigroup, N: int, gamma: int) -> boo
     if H.genus <= rho3(N, gamma):
         raise PreconditionViolated("need genus > rho3(N, gamma)")
     hi = 2 * gamma + 2 + gamma // (N - 1)
-    return any(divisor_condition(A, N, gamma) and H.element_at(A - gamma) == A * N
+    elements = H._elements(hi - gamma + 1)
+    return any(divisor_condition(A, N, gamma) and elements[A - gamma] == A * N
                for A in range(2 * gamma + 2, hi + 1))
 
 
@@ -242,5 +228,5 @@ def project_by_n(H: NumericalSemigroup, N: int, gamma: int) -> NumericalSemigrou
     """
     if not type_verdict(H, N, gamma).is_type:
         raise PreconditionViolated("H is not of type (N, gamma)")
-    head = {H.element_at(i) // N for i in range(1, gamma + 1)}
+    head = {e // N for e in H._elements(gamma + 1)[1:]}
     return NumericalSemigroup(x for x in range(1, 2 * gamma) if x not in head)

@@ -24,8 +24,8 @@ from . import bounds as bounds_mod
 from . import core as core_mod
 from . import families as families_mod
 from .classify import project_by_n, type_test, type_verdict
-from .core import (SUMSET_CACHED_LEVELS, NumericalSemigroup, descendants, format_semigroup,
-                   natural_gamma, parse_semigroup)
+from .core import (NumericalSemigroup, descendants, format_semigroup, natural_gamma,
+                   parse_semigroup)
 from .errors import PreconditionViolated, SemigroupError, UnknownPredicate, WorkerFailed
 from .obstruction import bc_test, gap_sum_profile, pair_sum_extras
 
@@ -57,19 +57,12 @@ def _value(name: str, kind, text: str):
         raise ValueError(f"{name}: {exc}")
 
 
-def _gap_list(gaps: tuple[int, ...], genus: int) -> dict[str, Any]:
-    payload: dict[str, Any] = {"gaps": list(gaps[:GAP_LIST_CAP])}
-    if genus > GAP_LIST_CAP:
-        payload["gaps_truncated"] = True
-        payload["gaps_omitted"] = genus - GAP_LIST_CAP
-    return payload
-
-
 def _semigroup_json(H: NumericalSemigroup) -> dict[str, Any]:
-    out: dict[str, Any] = {"genus": H.genus, "frobenius": H.frobenius,
-                           "conductor": H.conductor}
     # only the gaps printed are decoded
-    out.update(_gap_list(core_mod._bit_positions(H._gap_bits(), GAP_LIST_CAP), H.genus))
+    out: dict[str, Any] = {"genus": H.genus, "frobenius": H.frobenius, "conductor": H.conductor,
+                           "gaps": list(core_mod._bit_positions(H._gap_bits(), GAP_LIST_CAP))}
+    if H.genus > GAP_LIST_CAP:
+        out.update(gaps_truncated=True, gaps_omitted=H.genus - GAP_LIST_CAP)
     out["min_gens"] = list(H.min_generators)
     return out
 
@@ -92,10 +85,18 @@ def _cmd_info(args) -> list[dict[str, Any]]:
     return [_semigroup_json(parse_semigroup(args.spec))]
 
 
-def _cmd_classify(args) -> list[dict[str, Any]]:
+def _spec_n_gamma(args) -> tuple[NumericalSemigroup, int, int]:
+    """(H, N, gamma) for classify and project: the options are checked before H is built."""
+    if args.N < 1:
+        raise ValueError(f"--N must be at least 1, got {args.N}")
+    if args.gamma is not None and args.gamma < 0:
+        raise ValueError(f"--gamma must be at least 0, got {args.gamma}")
     H = parse_semigroup(args.spec)
-    gamma = args.gamma if args.gamma is not None else natural_gamma(H, args.N)
-    v = type_verdict(H, args.N, gamma)
+    return H, args.N, natural_gamma(H, args.N) if args.gamma is None else args.gamma
+
+
+def _cmd_classify(args) -> list[dict[str, Any]]:
+    v = type_verdict(*_spec_n_gamma(args))
     return [{"N": v.N, "gamma": v.gamma, "cond_a": v.cond_a, "cond_b": v.cond_b,
              "cond_c": v.cond_c, "is_type": v.is_type, "gamma_N": v.gamma_n}]
 
@@ -223,7 +224,7 @@ def _predicate_fn(spec: str, n: int):
     if spec == "obstruction":  # the pairing obstruction is Buchweitz's count at n = 2
         spec, n = "bc_fail", 2
     if spec == "bc_fail":
-        return bc_test(n), min(n, SUMSET_CACHED_LEVELS)
+        return bc_test(n), n
     if spec == "symmetric":
         return (lambda H: H.genus >= 1 and H.frobenius == 2 * H.genus - 1), 0
     if spec == "quasi_symmetric":
@@ -281,6 +282,7 @@ def _pipe(ends: contextlib.ExitStack) -> list:
 def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
     """Scan ``shards`` on ``workers`` processes, this one and ``workers - 1``
     forked helpers, and return each shard's (scanned, rows) in shard order.
+    With one worker nothing is forked and this process scans every shard.
 
     Nothing is pickled to a helper: it inherits the shards and the
     predicate.  Before the first fork the parent writes every shard index
@@ -288,7 +290,7 @@ def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
     write end; then it and each helper take indices until the pipe is
     empty.  Every index is in the pipe before anyone reads, so each 4-byte
     read takes one whole index.  If a shard raised, the exception of the
-    first such shard is raised here, as the serial scan would raise it:
+    first such shard is raised here, as one worker alone would raise it:
     indices are taken in order, so every lower one was taken.  A helper
     that dies without a result is ``WorkerFailed``.  Every helper is reaped
     before this returns or raises.
@@ -345,14 +347,13 @@ def _cmd_scan(args) -> list[dict[str, Any]]:
         raise ValueError(f"--parallelism must be at least 1, got {args.parallelism}")
     predicate, levels = _predicate_fn(args.predicate, args.n)  # fails fast on bad parameters
     shards = core_mod._genus_shards(lo, hi, levels)
-    workers = min(args.parallelism, os.cpu_count() or 1, len(shards))
-    if workers > 1 and hasattr(os, "fork"):
-        parts = _fork_shards(shards, lo, predicate, workers)
-    else:
-        parts = [_scan_worker(shard, lo, predicate) for shard in shards]
+    # one worker, this process, where there is no fork
+    workers = min(args.parallelism, os.cpu_count() or 1, len(shards)) if hasattr(os, "fork") else 1
+    parts = _fork_shards(shards, lo, predicate, workers)
     scanned = sum(part_scanned for part_scanned, _ in parts)
     rows = sorted(row for _, part_rows in parts for row in part_rows)
-    out = [{"genus": genus, **_gap_list(gaps, genus), "min_gens": list(min_gens)}
+    # a row has at most DEFAULT_GENUS_CAP gaps, fewer than GAP_LIST_CAP
+    out = [{"genus": genus, "gaps": list(gaps), "min_gens": list(min_gens)}
            for genus, gaps, min_gens in rows]
     out.append({"summary": True, "predicate": args.predicate, "genus": [lo, hi],
                 "scanned": scanned, "matched": len(rows)})
@@ -360,9 +361,7 @@ def _cmd_scan(args) -> list[dict[str, Any]]:
 
 
 def _cmd_project(args) -> list[dict[str, Any]]:
-    H = parse_semigroup(args.spec)
-    gamma = args.gamma if args.gamma is not None else natural_gamma(H, args.N)
-    return [_semigroup_json(project_by_n(H, args.N, gamma))]
+    return [_semigroup_json(project_by_n(*_spec_n_gamma(args)))]
 
 
 # each verb's handler, which returns the payloads it prints, and its arguments

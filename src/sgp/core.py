@@ -48,15 +48,15 @@ class NumericalSemigroup:
     ``tree_children`` builds all of a node's children in one pass over its
     fields, from its effective generators (the minimal generators above
     the Frobenius number), whose removal keeps closure.  The bitset is all
-    a constructor builds; the gap tuple is decoded from it on each read, and
-    the small elements, effective and minimal generators, mirror and n-fold
-    gap sumsets are derived on first use and cached, so a semigroup pays
-    only for what is read of it.  A tree child derives its effective
+    a constructor builds; the gap tuple and the elements are decoded from it
+    on each read, and the effective and minimal generators, mirror and
+    n-fold gap sumsets are derived on first use and cached, so a semigroup
+    pays only for what is read of it.  A tree child derives its effective
     generators and mirror from its parent's and carries the sumsets down.
     """
 
     __slots__ = ("genus", "frobenius", "conductor", "_member_bits",
-                 "_small", "_min_gens", "_eff", "_parent", "_sumsets", "_rev")
+                 "_min_gens", "_eff", "_parent", "_sumsets", "_rev")
 
     def __init__(self, gaps: Iterable[int] | int = ()):
         """``gaps``: the gaps in any order, or their bitset (bit k: k is a gap)."""
@@ -71,7 +71,6 @@ class NumericalSemigroup:
                     _SIEVE_WORK)
         # bit k set iff k in H, for 0 <= k <= conductor
         self._member_bits = ((1 << (self.conductor + 1)) - 1) & ~gap_bits
-        self._small: tuple[int, ...] | None = None
         self._min_gens: tuple[int, ...] | None = None
         self._eff: tuple[int, ...] | None = None
         # a tree child's parent; the child is the parent minus its frobenius
@@ -110,23 +109,18 @@ class NumericalSemigroup:
         """The gaps, ascending, decoded from the bitset on each read."""
         return _bit_positions(self._gap_bits())
 
-    @property
-    def _small_elements(self) -> tuple[int, ...]:
-        """Elements below the conductor, ascending, decoded on first use."""
-        if self._small is None:
-            self._small = _bit_positions(
-                self._member_bits & ((1 << self.conductor) - 1))
-        return self._small
+    def _elements(self, k: int) -> tuple[int, ...]:
+        """The k smallest elements, ascending: those up to the conductor
+        decoded from the bitset, then the consecutive integers past it."""
+        head = _bit_positions(self._member_bits, k)
+        return head + tuple(range(len(head) + self.genus, k + self.genus))
 
     def element_at(self, i: int) -> int:
         """The i-th smallest element, 0-indexed from element_at(0) == 0."""
         if i < 0:
             raise ValueError("element index must be nonnegative")
-        small = self._small_elements
-        if i < len(small):
-            return small[i]
-        # elements at and beyond the conductor are consecutive
-        return i + self.genus
+        # elements from the conductor on are consecutive: c is the (c - g)-th
+        return i + self.genus if i >= self.conductor - self.genus else self._elements(i + 1)[i]
 
     @property
     def multiplicity(self) -> int:
@@ -448,7 +442,6 @@ def tree_children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
         child.frobenius = x
         child.conductor = x + 1
         child._member_bits = low + (3 << x)
-        child._small = None
         child._min_gens = None
         child._eff = None
         child._parent = H
@@ -488,8 +481,9 @@ def _genus_shards(lo: int, hi: int, levels: int = 0) -> list[tuple[NumericalSemi
     children carries its subtree, and the chain stops at genus max(lo,
     hi - 5), whose node carries its subtree; a deeper chain adds shards
     faster than it evens them out.  The biggest shards come first.  The
-    root, the naturals, keeps ``levels`` empty gap sumsets, which every node
-    carries (``tree_children``), so a scan seeds those it reads.
+    root, the naturals, keeps the first ``levels`` empty gap sumsets, at most
+    SUMSET_CACHED_LEVELS, which every node carries (``tree_children``), so a
+    scan seeds those it reads.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
@@ -497,7 +491,7 @@ def _genus_shards(lo: int, hi: int, levels: int = 0) -> list[tuple[NumericalSemi
         raise CapExceeded(f"genus {hi} exceeds cap {DEFAULT_GENUS_CAP}")
     shards = []
     H = NumericalSemigroup()
-    H._sumsets = (0,) * levels
+    H._sumsets = (0,) * min(levels, SUMSET_CACHED_LEVELS)
     while H.genus < max(lo, hi - 5):
         if H.genus >= lo:
             shards.append((H, H.genus))

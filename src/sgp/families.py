@@ -237,7 +237,8 @@ def superelliptic_extremal(N: int, gamma: int) -> FamilyResult:
     # integer A with 2*gamma <= A < 4*gamma+4-2/N, i.e. A*N <= (4*gamma+4)*N-3
     a_top = ((4 * gamma + 4) * N - 3) // N
     a_range = range(2 * gamma, a_top + 1)
-    observed = [A for A in a_range if H.element_at(A - gamma) == A * N]
+    # element A - gamma for each A, from A = 2*gamma on
+    observed = [A for A, e in zip(a_range, H._elements(a_top - gamma + 1)[gamma:]) if e == A * N]
     return FamilyResult(H, "superelliptic_extremal",
                         {"N": N, "gamma": gamma}, tuple(sheet.claims),
                         {"i1": i1,

@@ -48,6 +48,8 @@ def test_castelnuovo_values():
     assert castelnuovo_c(12, 4) == 15 == rho4(6, rho4_u(6, 2, 2), 2, 2)
     with pytest.raises(ValueError):
         castelnuovo_c(8, 1)
+    with pytest.raises(ValueError, match="d >= 1"):
+        castelnuovo_c(0, 3)
 
 
 def test_castelnuovo_equals_rho4_on_grid():

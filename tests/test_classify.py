@@ -124,10 +124,11 @@ def test_type_test_widens_its_mask():
     assert [is_type(K) for K in (small, H, near, small)] == [False, True, False, False]
     for K in (small, H, near):
         assert is_type(K) == verdict_by_definition(K, 2, 20).is_type
-    with pytest.raises(ValueError):
-        type_test(0, 1)
-    with pytest.raises(ValueError):
-        type_test(2, -1)
+    for refuse in (type_test, lambda N, gamma: type_verdict(H, N, gamma)):
+        with pytest.raises(ValueError, match="need N >= 1 and gamma >= 0"):
+            refuse(0, 1)
+        with pytest.raises(ValueError, match="need N >= 1 and gamma >= 0"):
+            refuse(2, -1)
 
 
 def test_type_test_matches_verdict_exhaustive(by_genus):
@@ -390,6 +391,8 @@ def test_arithmetic_cover_criterion_census_seeded():
 def test_project_by_n():
     assert project_by_n(from_generators([4, 6, 17]), 2, 1) == from_generators([2, 3])
     assert project_by_n(from_generators([2, 21]), 2, 0) == from_generators([1])
+    # 2N*gamma = 4 is past the conductor 3: the elements read cross it
+    assert project_by_n(from_generators([3, 4, 5]), 1, 2).gaps == (1, 2)
     with pytest.raises(PreconditionViolated):
         project_by_n(from_generators([4, 7]), 2, 1)
 

@@ -319,7 +319,7 @@ def test_scan_parallelism_bounds(capsys, monkeypatch):
     code, _, _ = invoke(capsys, *base, "--genus", "2")
     assert code == 0 and sizes() == [3, 2]  # two semigroups of genus 2
     code, _, _ = invoke(capsys, *base, "--genus", "1")
-    assert code == 0 and sizes() == [3, 2]  # one shard runs in-process
+    assert code == 0 and sizes() == [3, 2, 1]  # one shard, one worker: this process
     code1, out1, _ = invoke(capsys, "scan", "--genus", "2..9",
                             "--predicate", "symmetric")
     assert out1 == out
@@ -521,30 +521,46 @@ def test_forked_workers_reaped_when_gathering_fails(monkeypatch, time_limit):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_forked_scan_leaves_no_descriptor_open(capsys, monkeypatch, time_limit):
-    # every pipe end is closed on success, on a shard that raises and on a
-    # worker that dies
-    def forked_scan(*argv):
+    # every pipe end is closed on success and on a shard that raises, at one
+    # worker as at two, and on a helper that dies
+    def forked_scan(parallelism, *argv):
         before = len(os.listdir("/proc/self/fd"))
-        code, _, _ = invoke(capsys, "scan", *argv, "--parallelism", "2")
-        assert len(os.listdir("/proc/self/fd")) == before, argv
+        code, _, _ = invoke(capsys, "scan", *argv, "--parallelism", parallelism)
+        assert len(os.listdir("/proc/self/fd")) == before, (parallelism, argv)
         return code
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert forked_scan("--genus", "12..14", "--predicate", "symmetric") == 0
-    assert forked_scan("--genus", "16..17", "--predicate", "bc_fail", "--n", "40000") == 2
+    for parallelism in ("1", "2"):
+        assert forked_scan(parallelism, "--genus", "12..14", "--predicate", "symmetric") == 0
+        assert forked_scan(parallelism, "--genus", "16..17", "--predicate", "bc_fail",
+                           "--n", "40000") == 2
     kill_helpers(monkeypatch)
-    assert forked_scan("--genus", "12..14", "--predicate", "symmetric") == 2
+    assert forked_scan("2", "--genus", "12..14", "--predicate", "symmetric") == 2
     assert_no_children()
 
 
 def test_scan_without_fork_runs_in_process(capsys, monkeypatch):
+    # with no os.fork every scan takes its shards from the pipe on one
+    # worker, this process, and prints the bytes of --parallelism 1
     import os
+    import sgp.cli
+    base = ["scan", "--genus", "2..9", "--predicate", "symmetric"]
+    serial = invoke(capsys, *base)
+    assert serial[0] == 0
+    original = sgp.cli._fork_shards
+    workers = []
+
+    def recording(shards, lo, predicate, count):
+        workers.append(count)
+        return original(shards, lo, predicate, count)
+
+    monkeypatch.setattr(sgp.cli, "_fork_shards", recording)
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    base = ["scan", "--genus", "2..9", "--predicate", "symmetric"]
-    serial = invoke(capsys, *base, "--parallelism", "1")
-    assert serial[0] == 0
-    assert invoke(capsys, *base, "--parallelism", "3") == serial
+    for parallelism in ("1", "2", "3"):
+        assert invoke(capsys, *base, "--parallelism", parallelism) == serial, parallelism
+    assert workers == [1, 1, 1]
+    assert_no_children()
 
 
 def test_forked_scan_does_not_load_multiprocessing():
@@ -658,6 +674,13 @@ def test_genus_cap_is_not_read_from_the_environment():
             "name": "CapExceeded", "message": f"genus {hi} exceeds cap 25"}
 
 
+def test_scan_rows_need_no_truncation():
+    # a scan row has at most DEFAULT_GENUS_CAP gaps, so it prints them all
+    from sgp.cli import GAP_LIST_CAP
+    from sgp.core import DEFAULT_GENUS_CAP
+    assert DEFAULT_GENUS_CAP < GAP_LIST_CAP
+
+
 def test_gap_list_truncation(capsys):
     big = cover_family(from_generators([2, 3]), 2, 600, 1).semigroup
     code, out, _ = invoke(capsys, "info", format_semigroup(big))
@@ -726,6 +749,11 @@ def test_exit_codes(capsys):
         (["scan", "--genus", "5..3", "--predicate", "symmetric"], 64, "err", "Usage"),
         (["scan", "--genus", "3", "--predicate", "type:2"], 64, "err",
          "UnknownPredicate"),
+        # --N and --gamma are checked before the spec is built
+        (["classify", "gens:2,3", "--N", "0"], 64, "err", "Usage"),
+        (["classify", "gens:2,3", "--N", "2", "--gamma", "-1"], 64, "err", "Usage"),
+        (["project", "gens:4,6,17", "--N", "-2"], 64, "err", "Usage"),
+        (["project", "gens:4,6", "--N", "2", "--gamma", "-1"], 64, "err", "Usage"),
     ]
     for argv, want_code, stream, name in cases:
         code, out, err = invoke(capsys, *argv)
@@ -733,6 +761,11 @@ def test_exit_codes(capsys):
         line, other = (out, err) if stream == "out" else (err, out)
         assert other == "", argv
         assert json.loads(line)["error"]["name"] == name, argv
+    # --N and --gamma are refused in the words of --parallelism
+    for argv, message in ((["classify", "gens:2,3", "--N", "0"], "--N must be at least 1, got 0"),
+                          (["project", "gens:4,6", "--N", "2", "--gamma", "-1"],
+                           "--gamma must be at least 0, got -1")):
+        assert json.loads(invoke(capsys, *argv)[2])["error"]["message"] == message, argv
 
 
 def test_scan_parallelism_checked_before_genus_cap(capsys):

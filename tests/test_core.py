@@ -530,6 +530,14 @@ def test_tree_children_order():
     assert [k.gaps for k in kids] == [(1, 2), (1, 3)]
 
 
+def _assert_elements_match_membership(H):
+    """``_elements(k)``, for every k up to the conductor + 2, is the k least
+    members of H: the prefix read crosses the conductor."""
+    members = tuple(n for n in range(2 * H.conductor + 3) if n in H)
+    for k in range(H.conductor + 3):
+        assert H._elements(k) == members[:k], (H.gaps, k)
+
+
 def _assert_children_match_constructor(H):
     """Every tree child, built from H's fields, equals the validating
     constructor on every field, minimal generators included, and its own
@@ -542,12 +550,10 @@ def _assert_children_match_constructor(H):
         # expanded before anything else is read of it, as a walk does
         assert [k.frobenius for k in tree_children(kid)] == [
             y for y in ref.min_generators if y > kid.frobenius], (H.gaps, x)
-        for field in ("gaps", "genus", "frobenius", "conductor",
-                      "_member_bits", "_small_elements"):
+        for field in ("gaps", "genus", "frobenius", "conductor", "_member_bits"):
             assert getattr(kid, field) == getattr(ref, field), (H.gaps, x, field)
         assert kid.min_generators == ref.min_generators, (H.gaps, x)
-        assert kid._small_elements == tuple(
-            k for k in range(kid.conductor) if k in kid), (H.gaps, x)
+        _assert_elements_match_membership(kid)
 
 
 def test_tree_children_match_constructor_exhaustive():
@@ -576,7 +582,7 @@ def _child_reference(H, x):
     return {"gaps": H.gaps + (x,), "genus": H.genus + 1, "frobenius": x,
             "conductor": x + 1,
             "_member_bits": (H._member_bits | (mask ^ ((1 << c) - 1))) & ~(1 << x),
-            "_small": None, "_min_gens": None, "_eff": None, "_rev": None,
+            "_min_gens": None, "_eff": None, "_rev": None,
             "_sumsets": tuple(carried)}
 
 
@@ -671,9 +677,10 @@ def test_walk_derives_generators_only_where_read(monkeypatch, gap_reads):
     # a walk to genus 12 expands the nodes of genus < 12 and reads nothing
     # else: effective generators are derived for exactly those, no node
     # sieves its minimal generators, and no node, the root included,
-    # decodes its small elements or its gap tuple
+    # decodes its elements or its gap tuple
     derived = []
     built = []
+    decoded = []
     original = NumericalSemigroup._effective_generators
 
     def counting(self):
@@ -690,6 +697,13 @@ def test_walk_derives_generators_only_where_read(monkeypatch, gap_reads):
     monkeypatch.setattr(NumericalSemigroup, "_effective_generators", counting)
     monkeypatch.setattr(NumericalSemigroup, "_compute_min_generators",
                         building(NumericalSemigroup._compute_min_generators))
+    bit_positions = sgp.core._bit_positions
+
+    def decoding(bits, count=None):
+        decoded.append(bits)
+        return bit_positions(bits, count)
+
+    monkeypatch.setattr(sgp.core, "_bit_positions", decoding)
     nodes = list(descendants(NumericalSemigroup(), 12))
     expanded = [H for H in nodes if H.genus < 12]
     assert len(nodes) == sum((1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592))
@@ -697,7 +711,7 @@ def test_walk_derives_generators_only_where_read(monkeypatch, gap_reads):
     assert {id(H) for H in derived} == {id(H) for H in expanded}
     assert built == []
     assert all(H._min_gens is None for H in nodes)
-    assert all(H._small is None for H in nodes)
+    assert decoded == []
     assert all(H._eff is None for H in nodes if H.genus == 12)
     assert gap_reads == []
     # an emitted leaf sieves its generators from its bitset when they are
@@ -886,8 +900,9 @@ def test_walk_matches_constructor_generated(gens):
         assert [k.frobenius for k in tree_children(H)] == [
             x for x in ref.min_generators if x > ref.frobenius], H.gaps
         for field in ("gaps", "genus", "frobenius", "conductor",
-                      "_member_bits", "min_generators", "_small_elements"):
+                      "_member_bits", "min_generators"):
             assert getattr(H, field) == getattr(ref, field), (H.gaps, field)
+        _assert_elements_match_membership(H)
 
 
 @given(st.integers(1, 60))
