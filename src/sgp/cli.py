@@ -169,11 +169,6 @@ def _family_params(name: str, tokens: list[str]) -> list:
 def _cmd_family(args) -> list[dict[str, Any]]:
     name = args.name
     params = _family_params(name, args.params)
-    if name == "cover":
-        _, n, g, f = params
-        # N = 0 divides nothing here; cover_family rejects it as not prime
-        if args.bump_g and n and (2 * g - f) % n == 0:
-            params[2] += 1
     # the constructor is looked up on the module when called
     result = getattr(families_mod, f"{name}_family" if name in ("buchweitz", "cover")
                      else f"superelliptic_{name}")(*params)
@@ -247,29 +242,27 @@ def _scan_worker(shard: tuple[NumericalSemigroup, int], lo: int, predicate):
     return scanned, rows
 
 
-def _pull_shards(tasks: int, shards: list, lo: int, predicate, done: list):
+def _pull_shards(tasks: int, shards: list, lo: int, predicate) -> list:
     """Scan each shard whose index is read from the pipe ``tasks`` until it
-    runs dry, adding its (index, result) pair to ``done``.  Returns None, or
-    the (index, exception) of the shard that raised, which ends the pull."""
-    index = -1
-    try:
-        while record := os.read(tasks, _RECORD):
-            index = int.from_bytes(record, "little")
-            done.append((index, _scan_worker(shards[index], lo, predicate)))
-    except Exception as exc:
-        return index, exc
-    return None
+    runs dry or a shard raises.  Returns the (index, outcome) pairs pulled:
+    a shard's (scanned, rows), or the exception that ended the pull."""
+    pulled: list = []
+    while record := os.read(tasks, _RECORD):
+        index = int.from_bytes(record, "little")
+        try:
+            pulled.append((index, _scan_worker(shards[index], lo, predicate)))
+        except Exception as exc:
+            return pulled + [(index, exc)]
+    return pulled
 
 
 def _shard_worker(tasks: int, results: int, shards: list, lo: int, predicate) -> int:
     """The body of a forked scan helper: pull shards from ``tasks``, then
-    write to ``results`` the pickled (done, failure) of the pull, with no
-    pairs if a shard raised, so the helper exits at once.  Returns the exit
-    status."""
-    done: list = []
-    failure = _pull_shards(tasks, shards, lo, predicate, done)
+    write the pull's pickled (index, outcome) pairs to ``results``.
+    Returns the exit status."""
+    pulled = _pull_shards(tasks, shards, lo, predicate)
     with open(results, "wb") as out:
-        out.write(pickle.dumps(([] if failure else done, failure)))
+        out.write(pickle.dumps(pulled))
     return 0
 
 
@@ -289,14 +282,13 @@ def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
     to one pipe in one write, which the pipe buffer holds, and closes the
     write end; then it and each helper take indices until the pipe is
     empty.  Every index is in the pipe before anyone reads, so each 4-byte
-    read takes one whole index.  If a shard raised, the exception of the
-    first such shard is raised here, as one worker alone would raise it:
-    indices are taken in order, so every lower one was taken.  A helper
-    that dies without a result is ``WorkerFailed``.  Every helper is reaped
-    before this returns or raises.
+    read takes one whole index.  The pulls' (index, outcome) pairs merge in
+    shard order, and the first exception among them is raised, as one
+    worker alone would raise it: indices leave the pipe in order, so every
+    lower one was taken.  A helper that dies without a result is
+    ``WorkerFailed``.  Every helper is reaped before this returns or raises.
     """
     pending: dict[int, Any] = {}  # pid -> the read end of its result pipe
-    done: list = []
     try:
         # each pipe end is an unbuffered file, closed once: early where a
         # process must not hold it, else when the stack unwinds
@@ -316,8 +308,7 @@ def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
                         os._exit(status)
                 result_w.close()
                 pending[pid] = result_r
-            failure = _pull_shards(tasks_r.fileno(), shards, lo, predicate, done)
-            failures = [failure] if failure else []
+            pulled = _pull_shards(tasks_r.fileno(), shards, lo, predicate)
             for pid, result_r in list(pending.items()):
                 data = result_r.read()
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -325,19 +316,16 @@ def _fork_shards(shards: list, lo: int, predicate, workers: int) -> list:
                 if not data:
                     raise WorkerFailed(f"scan worker exited with status {status} "
                                        "before sending its result")
-                helper_done, helper_failure = pickle.loads(data)
-                done += helper_done
-                if helper_failure is not None:
-                    failures.append(helper_failure)
+                pulled += pickle.loads(data)
     finally:
         for pid in pending:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    parts = dict(done)
-    return [parts[i] for i in range(len(shards))]
+    outcomes = [outcome for _, outcome in sorted(pulled, key=lambda pair: pair[0])]
+    if failure := next((o for o in outcomes if isinstance(o, Exception)), None):
+        raise failure
+    return outcomes
 
 
 def _cmd_scan(args) -> list[dict[str, Any]]:
@@ -375,7 +363,7 @@ _VERBS = {
     "obstruct": (_cmd_obstruct, {"spec": (str, ...), "--n": (_ascii_int, 2),
                                  "--explain": (bool, False)}),
     "family": (_cmd_family, {"name": (tuple(_FAMILY_PARAMS), ...), "--params": (list, []),
-                             "--emit": (("gaps", "gens"), "gaps"), "--bump-g": (bool, False)}),
+                             "--emit": (("gaps", "gens"), "gaps")}),
     "scan": (_cmd_scan, {"--genus": (str, ...), "--predicate": (str, ...),
                          "--n": (_ascii_int, 2), "--parallelism": (_ascii_int, 1)}),
     "project": (_cmd_project, _SPEC_N_GAMMA),

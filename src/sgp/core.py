@@ -77,14 +77,15 @@ class NumericalSemigroup:
         self._parent: NumericalSemigroup | None = None
         self._sumsets: tuple[int, ...] = ()
         self._rev: int | None = None
-        # the closure sieve: the least gap that two elements sum to, if any
+        # the closure sieve: the least gap x that two elements sum to, if
+        # any, split as a + (x - a) with a least, by one mirror AND
         pos = self._member_bits & ~1
         bad = _pair_sums(pos, self.frobenius) & gap_bits
         if bad:
             x = (bad & -bad).bit_length() - 1
-            for a in range(1, x // 2 + 1):
-                if pos >> a & 1 and pos >> (x - a) & 1:
-                    raise NotASemigroup(a, x - a)
+            both = pos & _mirror(pos & ((1 << x + 1) - 1), x)  # bit a: a, x - a in H
+            a = (both & -both).bit_length() - 1
+            raise NotASemigroup(a, x - a)
 
     def __contains__(self, n: int) -> bool:
         if n < 0:

@@ -47,7 +47,6 @@ def reference_parser() -> _Parser:
     p_family.add_argument("name", choices=tuple(_FAMILY_PARAMS))
     p_family.add_argument("--params", nargs="*", default=[])
     p_family.add_argument("--emit", choices=("gaps", "gens"), default="gaps")
-    p_family.add_argument("--bump-g", action="store_true", dest="bump_g")
 
     p_scan = sub.add_parser("scan")
     p_scan.add_argument("--genus", required=True)

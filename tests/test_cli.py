@@ -135,17 +135,21 @@ def test_family_buchweitz(capsys):
 
 
 def test_family_cover_bump_g(capsys):
+    # 2g - f divisible by N is refused, not bumped: the caller passes g + 1,
+    # and --bump-g is an unknown option
     args = ["family", "cover", "--params", "htilde=gens:2,3", "N=3", "g=26", "f=1"]
-    code, out, _ = invoke(capsys, *args)
-    assert code == 2  # 2g - f is divisible by 3
-    code, out, _ = invoke(capsys, *args, "--bump-g")
+    code, out, err = invoke(capsys, *args)
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"]["name"] == "PreconditionViolated"
+    code, out, _ = invoke(capsys, *args[:-2], "g=27", "f=1")
     assert code == 0
     assert json.loads(out)["params"]["g"] == 27
-    # N = 0 is rejected as not prime with or without --bump-g
+    code, out, err = invoke(capsys, *args[:-2], "g=27", "f=1", "--bump-g")
+    assert code == 64 and out == ""
+    assert json.loads(err)["error"]["name"] == "Usage"
+    # N = 0 is rejected as not prime
     args = ["family", "cover", "--params", "htilde=gens:2,3", "N=0", "g=10", "f=1"]
-    plain = invoke(capsys, *args)
-    assert invoke(capsys, *args, "--bump-g") == plain
-    code, out, err = plain
+    code, out, err = invoke(capsys, *args)
     assert code == 2 and err == ""
     assert json.loads(out)["error"] == {"name": "NotPrime", "message": "0 is not prime"}
 
@@ -468,6 +472,28 @@ def test_forked_shards_each_come_back_once(monkeypatch, time_limit):
     assert_no_children()
 
 
+def test_forked_helper_exception_crosses_its_result_pipe(monkeypatch, time_limit):
+    # helpers raise at their first shard while the parent scans slowly, so
+    # the exception raised is a helper's, pickled to the parent: the lowest
+    # shard the parent did not scan
+    import time
+    import sgp.cli
+    parent, scanned = os.getpid(), []
+
+    def worker(shard, lo, predicate):
+        if os.getpid() != parent:
+            raise ValueError(shard)
+        scanned.append(shard)
+        time.sleep(0.001)
+        return 1, [shard]
+
+    monkeypatch.setattr(sgp.cli, "_scan_worker", worker)
+    with pytest.raises(ValueError) as info:
+        sgp.cli._fork_shards(range(MOST_SHARDS), 0, None, 3)
+    assert info.value.args == (min(set(range(MOST_SHARDS)) - set(scanned)),)
+    assert_no_children()
+
+
 def test_forked_parent_scans_what_helpers_leave(monkeypatch, time_limit):
     # helpers that take no shard: the parent pulls every index
     import pickle
@@ -475,7 +501,7 @@ def test_forked_parent_scans_what_helpers_leave(monkeypatch, time_limit):
 
     def idle_helper(tasks, results, shards, lo, predicate):
         with open(results, "wb") as out:
-            out.write(pickle.dumps(([], None)))
+            out.write(pickle.dumps([]))
         return 0
 
     monkeypatch.setattr(sgp.cli, "_shard_worker", idle_helper)

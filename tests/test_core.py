@@ -58,6 +58,8 @@ def test_from_generators_trivial_cases():
     assert H.gaps == (1,)
     assert H.genus == 1
     assert H.frobenius == 1
+    assert H != (1,)  # a tuple of gaps is not a semigroup
+    assert repr(from_generators([3, 5])) == "NumericalSemigroup(gens=[3, 5])"
 
 
 def test_from_generators_sieve_oracle():
@@ -257,6 +259,11 @@ def test_non_semigroup_gap_sets_report_the_sieve_witness():
                 with pytest.raises(NotASemigroup) as exc:
                     NumericalSemigroup(form)
                 assert exc.value.witness == witness, gaps
+    # one gap far past a run of them: the least split of F is F/2 + F/2
+    F = 400_000
+    with pytest.raises(NotASemigroup) as exc:
+        from_gaps([*range(1, F // 2), F])
+    assert exc.value.witness == (F // 2, F // 2)
 
 
 def test_constructions_agree_exhaustive():
